@@ -25,7 +25,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--limit", type=int, default=None,
-        help="stop after roughly this many triples",
+        help="examine at most this many triples, cut at a pair boundary",
     )
     args = parser.parse_args()
 

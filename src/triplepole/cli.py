@@ -14,6 +14,8 @@ Exit codes:
        violations, oracle disagreement, numeric estimate contradicting the
        symbolic count
     5  numeric pole probe landed in the indeterminate band
+    6  internal error: any other exception, such as a bug or MemoryError; the
+       traceback goes to stderr
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -63,6 +66,7 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_INVARIANT = 4
 EXIT_INDETERMINATE = 5
+EXIT_INTERNAL = 6
 
 
 def _label_json(label: CuspidalLabelK) -> dict:
@@ -333,7 +337,7 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_PRECONDITION
     if isinstance(exc, (InvariantViolationError, NotAnIntegerError)):
         return EXIT_INVARIANT
-    raise exc
+    return EXIT_INTERNAL
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -382,6 +386,8 @@ def main(argv: list[str] | None = None) -> int:
         envelope["result"] = result
     except Exception as exc:  # noqa: BLE001
         code = _exit_code(exc)
+        if code == EXIT_INTERNAL:
+            traceback.print_exc()  # the envelope has no room for where it failed
         envelope = _envelope(args.command, args, time.monotonic() - start)
         envelope["error"] = _error_payload(exc)
     if args.fmt == "text":

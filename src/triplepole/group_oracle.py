@@ -24,6 +24,7 @@ import numpy as np
 from .cyclotomic import CyclotomicInt, _poly_rem_monic, cyclotomic_polynomial
 from .errors import InvariantViolationError, ModelMismatchError, PreconditionError
 from .models import AbelianModel, CuspidalLabelK, _mat_apply, _mat_identity, _mat_mul
+from .sweep import TripleKernel, pole_orders
 
 PAIRING_NOTE = (
     "model elements index base-group characters via the coordinate-wise "
@@ -489,8 +490,6 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     accumulated into count vectors, reduced by the exact cyclotomic
     remainder matrix, certified integer, and divided by |G|.
     """
-    from .sweep import _FastTables, _pair_buckets
-
     G = oracle_group(model)
     p, n, nbase = G.p, G.nexp, G.base_order
     coords = np.array(G.base_elements(), dtype=np.int64)
@@ -502,21 +501,21 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     E = pair_exp[:, sig]  # (char, p, base)
     R = _remainder_matrix(n)
     deg = R.shape[1]
+    offsets = (np.arange(nbase) * n)[:, None]  # one bincount for every chi
 
-    tables = _FastTables(model)
+    kernel = TripleKernel(model)
     mismatches = []
     triples = 0
-    for i1 in tables.noninv:
-        E1 = E[i1]  # (p, base)
-        for i2 in tables.noninv:
+    for a, b in kernel.pair_blocks():
+        theta1s, theta2s = kernel.noninv[a].tolist(), kernel.noninv[b].tolist()
+        for i1, i2, ells in zip(theta1s, theta2s, pole_orders(kernel.chi(a, b), nbase)):
+            E1 = E[i1]  # (p, base)
             E2 = E[i2]
             d12 = (E1[:, None, :] + E2[None, :, :]).reshape(p * p, nbase)
             # combined[c, t1t2, t3, b] exponent sums for every chi at once
             combined = (d12[None, :, None, :] + E[:, None, :, :]) % n
-            flat = combined.reshape(nbase, -1)
-            counts = np.zeros((nbase, n), dtype=np.int64)
-            for c in range(nbase):
-                counts[c] = np.bincount(flat[c], minlength=n)
+            flat = combined.reshape(nbase, -1) + offsets
+            counts = np.bincount(flat.ravel(), minlength=nbase * n).reshape(nbase, n)
             reduced = counts @ R
             if deg > 1 and np.any(reduced[:, 1:]):
                 raise InvariantViolationError("oracle sum is not a rational integer")
@@ -525,10 +524,6 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
                 raise InvariantViolationError("oracle sum is not divisible by |G|")
             mult = sums // G.order
 
-            buckets = _pair_buckets(tables, i1, i2)
-            ells = np.zeros(nbase, dtype=np.int64)
-            for ic, cells in buckets.items():
-                ells[ic] = len(cells)
             triples += nbase
             bad = np.nonzero(mult != ells)[0]
             for c in bad:

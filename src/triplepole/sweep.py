@@ -22,29 +22,6 @@ def multiplicative_order(u: int, n: int) -> int:
     return k
 
 
-class _FastTables:
-    """Dense index tables for one abelian model; all sweep inner loops run on
-    small-int indices instead of coordinate tuples."""
-
-    def __init__(self, model: AbelianModel):
-        self.model = model
-        self.p = model.p
-        n = model.order
-        self.n = n
-        decode = model.decode
-        encode = model.encode
-        elems = [decode(i) for i in range(n)]
-        self.add = [
-            [encode(model.add(a, b)) for b in elems] for a in elems
-        ]
-        self.neg = [encode(model.neg(a)) for a in elems]
-        self.shift = [
-            [encode(model.apply_sigma(a, t)) for a in elems] for t in range(model.p)
-        ]
-        self.invariant = [self.shift[1][i] == i for i in range(n)]
-        self.noninv = [i for i in range(n) if not self.invariant[i]]
-
-
 @dataclass(frozen=True)
 class SweepFamily:
     models: tuple[AbelianModel, ...]
@@ -77,11 +54,11 @@ class SweepReport:
     strategy: str
     complete: bool
     triples_examined: int
-    max_ell: int
-    histogram: dict
-    witnesses: list
-    violations: list
-    rigidity_breaches: list
+    max_ell: int = 0
+    histogram: dict = field(default_factory=dict)
+    witnesses: list = field(default_factory=list)
+    violations: list = field(default_factory=list)
+    rigidity_breaches: list = field(default_factory=list)
     rng: dict | None = None
     models: list = field(default_factory=list)
 
@@ -100,173 +77,184 @@ class SweepReport:
         }
 
 
-def _witness(model_index: int, tables: _FastTables, i1: int, i2: int, ic: int, ell: int) -> dict:
-    decode = tables.model.decode
-    return {
-        "model": model_index,
-        "theta1": list(decode(i1)),
-        "theta2": list(decode(i2)),
-        "chi": list(decode(ic)),
-        "ell": ell,
-    }
+# Triples per kernel block: bounds the memory one block of pairs takes.
+_BLOCK_TRIPLES = 1 << 15
 
 
-def _pair_buckets(tables: _FastTables, i1: int, i2: int) -> dict:
-    """Group the p x p cells of the pair by the unique chi turning each cell
-    on: cell (j, k) is on exactly for chi = -(shift^j(t2) + shift^k(t1))."""
-    p = tables.p
-    add, neg, shift = tables.add, tables.neg, tables.shift
-    row2 = [shift[j][i2] for j in range(p)]
-    col1 = [shift[k][i1] for k in range(p)]
-    buckets: dict[int, list] = {}
-    for j in range(p):
-        arow = add[row2[j]]
-        for k in range(p):
-            buckets.setdefault(neg[arow[col1[k]]], []).append((j, k))
-    return buckets
+class TripleKernel:
+    """Dense pole-order kernel for one abelian model.
+
+    Elements are indexed by mixed radix, as in ``model.encode``.  ``noninv``
+    lists the indices of the labels the shift moves, and a pair (a, b) of
+    positions in it stands for theta1 = noninv[a], theta2 = noninv[b].
+    Pairs are numbered a * m + b, which is (theta1, theta2) index order.
+    """
+
+    def __init__(self, model: AbelianModel):
+        self.model = model
+        self.p, self.n = model.p, model.order
+        factors = np.array(model.factors, dtype=np.intp)
+        strides = np.cumprod(np.r_[1, factors[:0:-1]])[::-1]
+        coords = np.arange(self.n)[:, None] // strides % factors
+        sigma_t = np.array(model.sigma, dtype=np.intp).T
+        shifted = [coords]
+        for _ in range(self.p - 1):
+            shifted.append(shifted[-1] @ sigma_t % factors)
+        self.invariant = (shifted[1] == coords).all(axis=1)
+        self.noninv = np.flatnonzero(~self.invariant)
+        self.m = len(self.noninv)
+        # per coordinate: the shifted coordinate of each non-invariant label,
+        # shape (m, p), and -x mod d times the stride for a sum x of two
+        stacked = np.stack(shifted)[:, self.noninv, :]
+        self._coords = [stacked[:, :, i].T.copy() for i in range(len(factors))]
+        self._neg = [
+            (-np.arange(2 * d - 1)) % d * s for d, s in zip(factors.tolist(), strides.tolist())
+        ]
+
+    def pair_blocks(self, npairs: int | None = None):
+        """The first `npairs` pairs (default all m * m) in index order, as
+        (a, b) position arrays of at most a block each."""
+        total = self.m * self.m if npairs is None else npairs
+        for sl in _slices(total, self.n):
+            yield np.divmod(np.arange(sl.start, sl.stop), self.m)
+
+    def chi(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """chi[q, j, k]: index of the chi turning cell (j, k) of pair q on,
+        -(shift^j(theta2) + shift^k(theta1))."""
+        out = 0
+        for x, neg in zip(self._coords, self._neg):
+            out = out + neg[x[b][:, :, None] + x[a][:, None, :]]
+        return out
+
+    def triple(self, model_index: int, a, b, c, ell) -> dict:
+        decode = self.model.decode
+        return {
+            "model": model_index,
+            "theta1": list(decode(int(self.noninv[a]))),
+            "theta2": list(decode(int(self.noninv[b]))),
+            "chi": list(decode(int(c))),
+            "ell": int(ell),
+        }
 
 
-def _check_cells(cells: list, p: int) -> bool:
-    if len(cells) > p:
-        return False
-    rows = {j for j, _ in cells}
-    cols = {k for _, k in cells}
-    return len(rows) == len(cells) and len(cols) == len(cells)
+def _slices(count: int, n: int):
+    step = max(1, _BLOCK_TRIPLES // n)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def pole_orders(chi: np.ndarray, n: int) -> np.ndarray:
+    """ell[q, c]: on-cells of pair q for the chi of index c, by one offset
+    bincount over a block of `TripleKernel.chi`."""
+    keys = chi + (np.arange(len(chi)) * n)[:, None, None]
+    return np.bincount(keys.ravel(), minlength=len(chi) * n).reshape(len(chi), n)
+
+
+def cell_conflicts(chi: np.ndarray, n: int) -> np.ndarray:
+    """Mask [q, c]: the on-cells of pair q for the chi of index c are not a
+    partial permutation, because two of them share a row or a column.  With
+    no shared row there is at most one on-cell per row, so ell <= p."""
+    bad = np.zeros((len(chi), n), dtype=bool)
+    for lines in (chi, chi.transpose(0, 2, 1)):
+        # cyclic distances 1 .. p // 2 reach every pair of cells of a line
+        for d in range(1, chi.shape[1] // 2 + 1):
+            same = lines == np.roll(lines, d, axis=2)
+            if same.any():
+                bad[np.nonzero(same)[0], lines[same]] = True
+    return bad
+
+
+def _tally(report: SweepReport, ells, bad, chi_moved, triple) -> None:
+    """Add a run of triples, handed over in index order, to `report`: `ells`
+    and the `bad` mask cover the run, `chi_moved` (p = 2 only, else None)
+    marks its non-invariant chi, `triple(i, ell)` renders flat index i."""
+    if bad.any():
+        report.violations.extend(triple(i, ells.flat[i]) for i in np.flatnonzero(bad))
+        ells = np.where(bad, -1, ells)
+    counts = np.bincount(ells.ravel() + 1)[1:]  # violations fall in the dropped bin
+    for ell in np.flatnonzero(counts).tolist():
+        report.histogram[ell] = report.histogram.get(ell, 0) + int(counts[ell])
+        if all(w["ell"] != ell for w in report.witnesses):
+            report.witnesses.append(triple(int(np.argmax(ells == ell)), ell))
+            report.witnesses.sort(key=lambda w: w["ell"])
+    if chi_moved is not None:
+        breach = np.flatnonzero((ells >= 2) & chi_moved)
+        report.rigidity_breaches.extend(triple(i, ells.flat[i]) for i in breach)
+    report.max_ell = max(report.histogram, default=0)
 
 
 def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
     """Histogram pole orders over all (theta1, theta2, chi) triples with both
     inducing labels non-invariant, across every model in the family.
 
-    Exhaustive sweeps also verify, for every bucket of triples, that the on
-    cells form a partial permutation of size at most p, and at p = 2 that a
-    double pole only occurs with an invariant chi; breaches are reported, not
-    raised.  Witnesses record the first triple attaining each distinct pole
-    order, in (model, theta1, theta2, chi) index order.
+    Both strategies also verify, for every triple, that the on cells form a
+    partial permutation of size at most p, and at p = 2 that a double pole
+    only occurs with an invariant chi; breaches are reported, not raised.
+    Witnesses record the first triple attaining each distinct pole order, in
+    (model, theta1, theta2, chi) index order (in draw order when sampled).
+    An exhaustive `limit` stops at the last whole pair that fits.
     """
     if budget.strategy == "sample":
         return _sweep_sampled(family, budget)
 
-    histogram: dict[int, int] = {}
-    witnesses: dict[int, dict] = {}
-    violations: list = []
-    rigidity: list = []
-    examined = 0
-    complete = True
-    limit = budget.limit
-
-    done = False
+    models = [m.describe() for m in family.models]
+    report = SweepReport("exhaustive", complete=True, triples_examined=0, models=models)
     for mi, model in enumerate(family.models):
-        if done:
+        kernel = TripleKernel(model)
+        n = kernel.n
+        npairs = kernel.m * kernel.m
+        if budget.limit is not None and report.triples_examined + npairs * n > budget.limit:
+            npairs = (budget.limit - report.triples_examined) // n
+            report.complete = False
+        chi_moved = ~kernel.invariant if kernel.p == 2 else None
+        for a, b in kernel.pair_blocks(npairs):
+            chi = kernel.chi(a, b)
+            triple = lambda i, ell: kernel.triple(mi, a[i // n], b[i // n], i % n, ell)
+            _tally(report, pole_orders(chi, n), cell_conflicts(chi, n), chi_moved, triple)
+        report.triples_examined += npairs * n
+        if not report.complete:
             break
-        tables = _FastTables(model)
-        p, n = tables.p, tables.n
-        noninv = tables.noninv
-        for i1 in noninv:
-            if done:
-                break
-            for i2 in noninv:
-                if limit is not None and examined + n > limit:
-                    complete = False
-                    done = True
-                    break
-                buckets = _pair_buckets(tables, i1, i2)
-                examined += n
-                for ic, cells in buckets.items():
-                    ell = len(cells)
-                    if not _check_cells(cells, p):
-                        violations.append(_witness(mi, tables, i1, i2, ic, ell))
-                        continue
-                    histogram[ell] = histogram.get(ell, 0) + 1
-                    if p == 2 and ell >= 2 and not tables.invariant[ic]:
-                        rigidity.append(_witness(mi, tables, i1, i2, ic, ell))
-                    if ell not in witnesses or (
-                        witnesses[ell]["model"] == mi
-                        and witnesses[ell]["_key"] > (i1, i2, ic)
-                    ):
-                        w = _witness(mi, tables, i1, i2, ic, ell)
-                        w["_key"] = (i1, i2, ic)
-                        witnesses[ell] = w
-                if len(buckets) < n:
-                    histogram[0] = histogram.get(0, 0) + (n - len(buckets))
-                if 0 not in witnesses and len(buckets) < n:
-                    seen = set(buckets)
-                    ic0 = next(i for i in range(n) if i not in seen)
-                    w = _witness(mi, tables, i1, i2, ic0, 0)
-                    w["_key"] = (i1, i2, ic0)
-                    witnesses[0] = w
-
-    for w in witnesses.values():
-        w.pop("_key", None)
-    max_ell = max((ell for ell, c in histogram.items() if c), default=0)
-    return SweepReport(
-        strategy="exhaustive",
-        complete=complete,
-        triples_examined=examined,
-        max_ell=max_ell,
-        histogram=histogram,
-        witnesses=[witnesses[e] for e in sorted(witnesses)],
-        violations=violations,
-        rigidity_breaches=rigidity,
-        models=[m.describe() for m in family.models],
-    )
-
-
-def _cells_for_chi(tables: _FastTables, i1: int, i2: int, ic: int) -> list:
-    p = tables.p
-    add, neg, shift = tables.add, tables.neg, tables.shift
-    out = []
-    for j in range(p):
-        arow = add[shift[j][i2]]
-        for k in range(p):
-            if neg[arow[shift[k][i1]]] == ic:
-                out.append((j, k))
-    return out
+    return report
 
 
 def _sweep_sampled(family: SweepFamily, budget: SweepBudget) -> SweepReport:
     if not family.models:
         raise PreconditionError("cannot sample from an empty family")
     rng = np.random.default_rng(budget.seed)
-    tables = [_FastTables(m) for m in family.models]
-    usable = [t for t in tables if t.noninv]
+    kernels = [TripleKernel(m) for m in family.models]
+    usable = [mi for mi, k in enumerate(kernels) if k.m]
     if not usable:
         raise PreconditionError("no model in the family has non-invariant labels")
 
-    histogram: dict[int, int] = {}
-    witnesses: dict[int, dict] = {}
-    violations: list = []
-    rigidity: list = []
-    for _ in range(budget.samples):
-        t = usable[int(rng.integers(len(usable)))]
-        mi = tables.index(t)
-        i1 = t.noninv[int(rng.integers(len(t.noninv)))]
-        i2 = t.noninv[int(rng.integers(len(t.noninv)))]
-        ic = int(rng.integers(t.n))
-        cells = _cells_for_chi(t, i1, i2, ic)
-        ell = len(cells)
-        if not _check_cells(cells, t.p):
-            violations.append(_witness(mi, t, i1, i2, ic, ell))
-            continue
-        histogram[ell] = histogram.get(ell, 0) + 1
-        if t.p == 2 and ell >= 2 and not t.invariant[ic]:
-            rigidity.append(_witness(mi, t, i1, i2, ic, ell))
-        if ell not in witnesses:
-            witnesses[ell] = _witness(mi, t, i1, i2, ic, ell)
+    draws = np.zeros((budget.samples, 4), dtype=np.intp)
+    for row in draws:
+        mi = usable[int(rng.integers(len(usable)))]
+        m, n = kernels[mi].m, kernels[mi].n
+        row[:] = mi, rng.integers(m), rng.integers(m), rng.integers(n)
+    mis, a, b, c = draws.T
+    ells = np.zeros(budget.samples, dtype=np.intp)
+    bad = np.zeros(budget.samples, dtype=bool)
+    chi_moved = np.zeros(budget.samples, dtype=bool)
+    for mi in np.unique(mis).tolist():
+        k = kernels[mi]
+        rows = np.flatnonzero(mis == mi)
+        for r in (rows[sl] for sl in _slices(len(rows), k.n)):
+            chi = k.chi(a[r], b[r])
+            ells[r] = pole_orders(chi, k.n)[np.arange(len(r)), c[r]]
+            bad[r] = cell_conflicts(chi, k.n)[np.arange(len(r)), c[r]]
+        if k.p == 2:
+            chi_moved[rows] = ~k.invariant[c[rows]]
 
-    max_ell = max((ell for ell, c in histogram.items() if c), default=0)
-    return SweepReport(
-        strategy="sample",
+    report = SweepReport(
+        "sample",
         complete=False,
         triples_examined=budget.samples,
-        max_ell=max_ell,
-        histogram=histogram,
-        witnesses=[witnesses[e] for e in sorted(witnesses)],
-        violations=violations,
-        rigidity_breaches=rigidity,
         rng={"name": "numpy-pcg64", "seed": budget.seed},
-        models=[t.model.describe() for t in tables],
+        models=[m.describe() for m in family.models],
     )
+    triple = lambda s, ell: kernels[mis[s]].triple(int(mis[s]), a[s], b[s], c[s], ell)
+    _tally(report, ells, bad, chi_moved, triple)
+    return report
 
 
 def find_witness(
@@ -280,20 +268,15 @@ def find_witness(
     Returns None when the family contains no such triple.
     """
     for mi, model in enumerate(family.models):
-        tables = _FastTables(model)
+        kernel = TripleKernel(model)
         target = model.p if target_ell is None else target_ell
-        n = tables.n
-        for i1 in tables.noninv:
-            for i2 in tables.noninv:
-                buckets = _pair_buckets(tables, i1, i2)
-                if target == 0:
-                    pool = [i for i in range(n) if i not in buckets]
-                else:
-                    pool = [ic for ic, cells in buckets.items() if len(cells) == target]
-                if require_noninvariant_chi:
-                    pool = [ic for ic in pool if not tables.invariant[ic]]
-                if pool:
-                    return _witness(mi, tables, i1, i2, min(pool), target)
+        for a, b in kernel.pair_blocks():
+            hits = pole_orders(kernel.chi(a, b), kernel.n) == target
+            if require_noninvariant_chi:
+                hits &= ~kernel.invariant
+            if hits.any():
+                q, c = divmod(int(np.argmax(hits)), kernel.n)
+                return kernel.triple(mi, a[q], b[q], c, target)
     return None
 
 

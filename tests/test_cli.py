@@ -417,9 +417,27 @@ def test_invariant_failures_map_to_4():
     assert _exit_code(NotAnIntegerError("boom", residual=(1,))) == 4
 
 
-def test_unexpected_exception_propagates():
-    with pytest.raises(ValueError):
-        _exit_code(ValueError("not ours"))
+def test_unexpected_exception_maps_to_6():
+    assert _exit_code(ValueError("not ours")) == 6
+    assert _exit_code(MemoryError()) == 6
+
+
+def test_internal_error_gets_envelope(monkeypatch, capsys):
+    import triplepole.cli as cli_module
+
+    def broken(config, args):
+        raise RuntimeError("kernel bug")
+
+    monkeypatch.setitem(cli_module._HANDLERS, "sweep", broken)
+    code = main(["sweep", "--config", str(CONFIGS / "sweep_small.json")])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert "RuntimeError: kernel bug" in captured.err
+    envelope = json.loads(captured.out)
+    assert envelope["report_version"] == REPORT_VERSION
+    assert envelope["command"] == "sweep"
+    assert "result" not in envelope
+    assert envelope["error"] == {"type": "RuntimeError", "message": "kernel bug"}
 
 
 def test_unknown_command_rejected(capsys):

@@ -2,7 +2,9 @@
 model catalogue."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,16 +15,18 @@ from triplepole.models import AbelianModel, CyclicData
 from triplepole.sweep import (
     SweepBudget,
     SweepFamily,
-    _cells_for_chi,
-    _FastTables,
-    _pair_buckets,
+    TripleKernel,
     catalogue_cyclic,
     catalogue_rank2,
+    cell_conflicts,
     find_witness,
     multiplicative_order,
+    pole_orders,
     shipped_catalogue,
     sweep,
 )
+
+PINS = json.loads((Path(__file__).parent / "sweep_pins.json").read_text())
 
 
 @pytest.fixture
@@ -43,7 +47,29 @@ def test_multiplicative_order():
 
 
 # ---------------------------------------------------------------------------
-# fast path equals the reference matrix
+# the kernel equals the reference matrix
+
+
+def kernel_cells(model):
+    """{(theta1, theta2, chi) indices: (on-cells, ell)} from the kernel over
+    every pair of non-invariant labels."""
+    kernel = TripleKernel(model)
+    out = {}
+    for a, b in kernel.pair_blocks():
+        chi = kernel.chi(a, b)
+        ells = pole_orders(chi, model.order)
+        assert not cell_conflicts(chi, model.order).any()
+        for q in range(len(a)):
+            i1, i2 = int(kernel.noninv[a[q]]), int(kernel.noninv[b[q]])
+            for ic in range(model.order):
+                cells = sorted(map(tuple, np.argwhere(chi[q] == ic).tolist()))
+                out[i1, i2, ic] = (cells, int(ells[q, ic]))
+    return out
+
+
+def reference_cells(model, i1, i2, ic):
+    t1, t2, chi = (model.label(model.decode(i)) for i in (i1, i2, ic))
+    return sorted(matching_matrix(t1, t2, chi).true_cells)
 
 
 @pytest.mark.parametrize(
@@ -57,19 +83,88 @@ def test_multiplicative_order():
     ids=lambda m: "x".join(map(str, m.factors)) + "p" + str(m.p),
 )
 def test_buckets_agree_with_matching_matrix(model):
-    tables = _FastTables(model)
-    n = model.order
-    for i1 in tables.noninv:
-        t1 = model.label(model.decode(i1))
-        for i2 in tables.noninv:
-            t2 = model.label(model.decode(i2))
-            buckets = _pair_buckets(tables, i1, i2)
-            for ic in range(n):
-                chi = model.label(model.decode(ic))
-                expected = matching_matrix(t1, t2, chi).true_cells
-                got = sorted(buckets.get(ic, []))
-                assert got == sorted(expected)
-                assert _cells_for_chi(tables, i1, i2, ic) == sorted(expected)
+    got = kernel_cells(model)
+    noninv = [i for i in range(model.order) if not model.is_invariant(model.label(model.decode(i)))]
+    assert len(got) == len(noninv) ** 2 * model.order
+    for (i1, i2, ic), (cells, ell) in got.items():
+        assert cells == reference_cells(model, i1, i2, ic)
+        assert ell == len(cells)
+
+
+def small_abelian_models(p):
+    return catalogue_cyclic(p, 40) + catalogue_rank2(p, 3)
+
+
+small_models_p235 = st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.sampled_from(small_abelian_models(p))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models_p235, st.data())
+def test_kernel_matches_reference_on_random_models(model, data):
+    kernel = TripleKernel(model)
+    a = data.draw(st.integers(0, kernel.m - 1))
+    b = data.draw(st.integers(0, kernel.m - 1))
+    chi = kernel.chi(np.array([a]), np.array([b]))
+    ells = pole_orders(chi, model.order)[0]
+    assert not cell_conflicts(chi, model.order).any()
+    i1, i2 = int(kernel.noninv[a]), int(kernel.noninv[b])
+    for ic in range(model.order):
+        cells = sorted(map(tuple, np.argwhere(chi[0] == ic).tolist()))
+        assert cells == reference_cells(model, i1, i2, ic)
+        assert ells[ic] == len(cells) <= model.p
+
+
+def test_cell_conflicts_flags_repeated_row_and_column():
+    chi = np.array(
+        [
+            [[0, 0, 1], [2, 3, 4], [5, 3, 6]],  # chi 0 twice in row 0, chi 3 twice in column 1
+            [[0, 1, 2], [1, 2, 0], [2, 0, 1]],  # every chi a permutation
+        ]
+    )
+    bad = cell_conflicts(chi, 7)
+    assert np.flatnonzero(bad[0]).tolist() == [0, 3]
+    assert not bad[1].any()
+    assert pole_orders(chi, 7).tolist() == [[2, 1, 1, 2, 1, 1, 1], [3, 3, 3, 0, 0, 0, 0]]
+
+    # p = 5: repeats two cells apart, in row 0 and in column 4
+    chi = np.arange(25).reshape(1, 5, 5)
+    chi[0, 0, 2] = chi[0, 0, 0]
+    chi[0, 3, 4] = chi[0, 1, 4]
+    assert np.flatnonzero(cell_conflicts(chi, 25)[0]).tolist() == [0, 9]
+
+
+def test_sweep_reports_what_the_chi_block_shows(monkeypatch, m7, m3sq):
+    """Violations and rigidity breaches come from the chi block itself."""
+    real_chi = TripleKernel.chi
+
+    def repeated_row(self, a, b):
+        chi = real_chi(self, a, b)
+        chi[:, :, 1] = chi[:, :, 0]
+        return chi
+
+    monkeypatch.setattr(TripleKernel, "chi", repeated_row)
+    rep = sweep(SweepFamily(models=(m7,)), SweepBudget())
+    assert rep.violations and all(v["model"] == 0 for v in rep.violations)
+    assert sum(rep.histogram.values()) + len(rep.violations) == 36 * 7
+
+    def diagonal_double(self, a, b):
+        chi = real_chi(self, a, b)
+        chi[:, 1, 1] = chi[:, 0, 0]
+        return chi
+
+    monkeypatch.setattr(TripleKernel, "chi", diagonal_double)
+    rep = sweep(SweepFamily(models=(m3sq,)), SweepBudget())
+    assert rep.violations == []
+    assert rep.rigidity_breaches
+    for w in rep.rigidity_breaches:
+        assert w["ell"] >= 2 and m3sq.apply_sigma(tuple(w["chi"])) != tuple(w["chi"])
+    keys = [
+        tuple(m3sq.encode(w[k]) for k in ("theta1", "theta2", "chi"))
+        for w in rep.rigidity_breaches
+    ]
+    assert sorted(keys) == keys
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +211,8 @@ def test_histogram_counts_every_chi(m7):
     # per pair: all 7 chi values are attributed, on-cells or not
     assert sum(rep.histogram.values()) == 36 * 7
     brute = {}
-    tables = _FastTables(m7)
-    for i1 in tables.noninv:
-        for i2 in tables.noninv:
-            for ic in range(7):
-                ell = len(_cells_for_chi(tables, i1, i2, ic))
-                brute[ell] = brute.get(ell, 0) + 1
+    for cells, _ in kernel_cells(m7).values():
+        brute[len(cells)] = brute.get(len(cells), 0) + 1
     assert rep.histogram == brute
 
 
@@ -264,14 +355,45 @@ def test_sweep_matches_brute_force(spec):
     factors, sigma, p = spec
     model = AbelianModel(factors=factors, sigma=sigma, cyclic=CyclicData(p))
     rep = sweep(SweepFamily(models=(model,)), SweepBudget(strategy="exhaustive"))
-    tables = _FastTables(model)
+    labels = [model.label(model.decode(i)) for i in range(model.order)]
+    noninv = [t for t in labels if not model.is_invariant(t)]
     brute = {}
-    for i1 in tables.noninv:
-        t1 = model.label(model.decode(i1))
-        for i2 in tables.noninv:
-            t2 = model.label(model.decode(i2))
-            for ic in range(model.order):
-                chi = model.label(model.decode(ic))
+    for t1 in noninv:
+        for t2 in noninv:
+            for chi in labels:
                 ell = matching_matrix(t1, t2, chi).ell
                 brute[ell] = brute.get(ell, 0) + 1
     assert rep.histogram == brute
+
+
+# ---------------------------------------------------------------------------
+# regression pins: reports of the per-pair implementation the kernel replaced
+
+
+def pinned_family(name):
+    if name == "m7+m3sq":
+        return SweepFamily(
+            models=(
+                AbelianModel(factors=(7,), sigma=((2,),), cyclic=CyclicData(3)),
+                AbelianModel(factors=(3, 3), sigma=((0, 1), (1, 0)), cyclic=CyclicData(2)),
+            )
+        )
+    assert name == "catalogue(2,3;16)"
+    return shipped_catalogue((2, 3), 16)
+
+
+@pytest.mark.parametrize(
+    "pin", PINS["sampled"], ids=lambda pin: f"{pin['family']}-seed{pin['seed']}"
+)
+def test_sampled_sweep_matches_pin(pin):
+    budget = SweepBudget(strategy="sample", samples=pin["samples"], seed=pin["seed"])
+    got = sweep(pinned_family(pin["family"]), budget).to_dict()
+    for key in ("triples_examined", "histogram", "witnesses", "violations", "rigidity_breaches"):
+        assert got[key] == pin[key], key
+
+
+@pytest.mark.parametrize("pin", PINS["exhaustive"], ids=lambda pin: f"limit{pin['limit']}")
+def test_exhaustive_limit_matches_pin(pin):
+    got = sweep(pinned_family(pin["family"]), SweepBudget(limit=pin["limit"])).to_dict()
+    for key in ("triples_examined", "complete", "histogram", "witnesses"):
+        assert got[key] == pin[key], key
