@@ -20,7 +20,7 @@ from .calculus import (
     triple_pole_order,
     twist,
 )
-from .cyclotomic import CyclotomicInt, cyclo_as_integer, cyclotomic_polynomial
+from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from .errors import (
     ConfigError,
     IndeterminatePoleError,

@@ -21,7 +21,7 @@ from .errors import (
     ModelMismatchError,
     PreconditionError,
 )
-from .models import CuspidalLabelK, CyclicData
+from .models import CuspidalLabelK
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +154,8 @@ class CuspidalDatumF:
         return isinstance(self.behavior, InducedFrom)
 
 
-def automorphic_induction(chi: CuspidalLabelK, cyclic: CyclicData | None = None) -> CuspidalDatumF:
+def automorphic_induction(chi: CuspidalLabelK) -> CuspidalDatumF:
     """The induced datum AI(chi) over the base field."""
-    if cyclic is not None and cyclic.p != chi.model.p:
-        raise PreconditionError("cyclic data does not match the label model")
     return CuspidalDatumF.induced_from(chi)
 
 
@@ -182,13 +180,11 @@ class IsobaricRep:
     __hash__ = None
 
 
-def base_change(pi: CuspidalDatumF, cyclic: CyclicData | None = None) -> IsobaricRep:
+def base_change(pi: CuspidalDatumF) -> IsobaricRep:
     """Base change to the extension: a stays-cuspidal datum keeps its single
     label; an induced datum splits into the p Galois shifts of its inducing
     label."""
     model = pi.model
-    if cyclic is not None and cyclic.p != model.p:
-        raise PreconditionError("cyclic data does not match the label model")
     b = pi.behavior
     if isinstance(b, StaysCuspidal):
         return IsobaricRep((b.label,))
@@ -238,7 +234,6 @@ def matching_matrix(
     theta1: CuspidalLabelK,
     theta2: CuspidalLabelK,
     chi: CuspidalLabelK,
-    cyclic: CyclicData | None = None,
 ) -> MatchingMatrix:
     """Matching matrix for the pair of induced data AI(theta1), AI(theta2)
     against the twisting character chi.
@@ -251,8 +246,6 @@ def matching_matrix(
     if chi.degree != 1:
         raise PreconditionError("twisting label must have degree 1")
     p = model.p
-    if cyclic is not None and cyclic.p != p:
-        raise PreconditionError("cyclic data does not match the label model")
     if theta1.degree != theta2.degree:
         return MatchingMatrix(p, frozenset())
     if model.enforces_noninvariance:

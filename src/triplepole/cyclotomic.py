@@ -217,8 +217,3 @@ class CyclotomicInt:
         return (self - other).is_zero()
 
     __hash__ = None  # equality is modular; hashing the raw vector would lie
-
-
-def cyclo_as_integer(value: CyclotomicInt) -> int:
-    """Module-level alias for CyclotomicInt.as_integer."""
-    return value.as_integer()

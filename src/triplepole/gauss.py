@@ -142,10 +142,6 @@ class GaussianModulus:
         gen = self.generator
         return [r for r in self.residues() if is_coprime(r, gen)]
 
-    @cached_property
-    def _unit_index(self) -> dict:
-        return {u: i for i, u in enumerate(self.units)}
-
     def unit_mul(self, a, b):
         return self.reduce(gmul(a, b))
 

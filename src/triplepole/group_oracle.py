@@ -8,12 +8,11 @@ duality pairing: model elements index characters of a base group with the
 same factors, carrying the dual (scaled-transpose) automorphism.
 
 All values live in Z[zeta_n] for n the exponent of the base group; nothing
-here uses floating point except the explicitly flagged fallback path.
+here uses floating point.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ import numpy as np
 
 from .cyclotomic import CyclotomicInt, _poly_rem_monic, cyclotomic_polynomial
 from .errors import InvariantViolationError, ModelMismatchError, PreconditionError
-from .models import AbelianModel, CuspidalLabelK, _mat_apply, _mat_identity, _mat_mul
+from .models import AbelianModel, CuspidalLabelK, _mat_apply, sigma_powers
 from .sweep import TripleKernel, pole_orders
 
 PAIRING_NOTE = (
@@ -69,25 +68,9 @@ class FiniteGroupModel:
             raise PreconditionError("factors must be positive integers")
         if p < 1:
             raise PreconditionError("p must be a positive integer")
-        r = len(factors)
-        if len(sigma) != r or any(len(row) != r for row in sigma):
-            raise PreconditionError("sigma must be a square matrix over the factors")
-        sigma = tuple(
-            tuple(int(sigma[i][j]) % factors[i] for j in range(r)) for i in range(r)
-        )
-        for i in range(r):
-            for j in range(r):
-                if (factors[j] * sigma[i][j]) % factors[i] != 0:
-                    raise PreconditionError(
-                        f"sigma entry ({i},{j}) does not define a map on the factors"
-                    )
-        power = sigma
-        for _ in range(p - 1):
-            power = _mat_mul(power, sigma, factors)
-        if power != _mat_identity(factors):
-            raise PreconditionError("sigma order does not divide p")
+        powers = sigma_powers(factors, sigma, p)
         self.factors = factors
-        self.sigma = sigma
+        self.sigma = powers[1 % p]  # sigma^1, the identity when p = 1
         self.p = p
         self.nexp = lcm(*factors)
         self.base_order = 1
@@ -96,9 +79,6 @@ class FiniteGroupModel:
         self.order = p * self.base_order
         self._base = list(itertools.product(*(range(d) for d in factors)))
         self._base_index = {a: i for i, a in enumerate(self._base)}
-        powers = [_mat_identity(factors)]
-        for _ in range(p - 1):
-            powers.append(_mat_mul(powers[-1], sigma, factors))
         self._sigma_powers = powers
         # sigma_index[t][i]: base index of sigma^t applied to base element i
         self.sigma_index = [
@@ -260,49 +240,24 @@ def trivial_multiplicity(
     lambda2: CharacterOfA,
     chi: CharacterOfA,
     group: FiniteGroupModel,
-    exact: bool = True,
 ) -> int:
     """Multiplicity of the trivial representation in the tensor product of
     the three induced characters: (1/|G|) sum over G of their value product.
 
-    The exact path accumulates the full sum in cyclotomic coefficient form
-    (the induced characters vanish off the base, so those terms contribute
-    nothing) and certifies the result as an integer divisible by |G|.  The
-    float path is a performance experiment only.
+    The full sum is accumulated in cyclotomic coefficient form (the induced
+    characters vanish off the base, so those terms contribute nothing) and
+    certified as an integer divisible by |G|.
     """
     for lam in (lambda1, lambda2, chi):
         if lam.group is not group:
             raise ModelMismatchError("character belongs to a different group")
     p, n = group.p, group.nexp
-    nbase = group.base_order
     sig = group.sigma_index
-    tabs = []
-    for lam in (lambda1, lambda2, chi):
-        raw = lam._exp_by_index
-        tabs.append([[raw[sig[t][i]] for i in range(nbase)] for t in range(p)])
-    e1, e2, e3 = tabs
-
-    if not exact:
-        roots = [cmath.exp(2j * cmath.pi * e / n) for e in range(n)]
-        total = 0.0 + 0.0j
-        for i in range(nbase):
-            v1 = sum(roots[e1[t][i]] for t in range(p))
-            v2 = sum(roots[e2[t][i]] for t in range(p))
-            v3 = sum(roots[e3[t][i]] for t in range(p))
-            total += v1 * v2 * v3
-        approx = total / group.order
-        nearest = round(approx.real)
-        if abs(approx - nearest) > 1e-6:
-            raise InvariantViolationError(
-                f"float multiplicity {approx} is not near an integer"
-            )
-        return int(nearest)
-
+    exps = [lam._exp_by_index for lam in (lambda1, lambda2, chi)]
     coeffs = [0] * n
-    for i in range(nbase):
-        row1 = [e1[t][i] for t in range(p)]
-        row2 = [e2[t][i] for t in range(p)]
-        row3 = [e3[t][i] for t in range(p)]
+    for i in range(group.base_order):
+        # exponents of each character along the sigma-orbit of base element i
+        row1, row2, row3 = ([e[sig[t][i]] for t in range(p)] for e in exps)
         for x in row1:
             for y in row2:
                 xy = x + y

@@ -23,7 +23,7 @@ and ``enforces_noninvariance``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -48,19 +48,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CyclicData:
-    """Degree data of the cyclic extension: a prime p and the name of the
-    chosen generator of its Galois group (symbolic only; computations use
-    exponents mod p)."""
+    """Degree data of the cyclic extension: the prime p."""
 
     p: int
-    generator_symbol: str = "sigma"
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise PreconditionError(f"extension degree must be prime, got {self.p}")
-
-    def reduce(self, k: int) -> int:
-        return k % self.p
 
 
 @dataclass(frozen=True)
@@ -100,9 +94,30 @@ def _mat_mul(m1, m2, factors):
     )
 
 
-def _mat_identity(factors):
+def sigma_powers(factors, sigma, p: int):
+    """The powers sigma^0 .. sigma^(p-1) of an automorphism of prod Z/d_i.
+
+    Entries of `sigma` are reduced mod d_i; the matrix must be square, well
+    defined on the factors (d_i | d_j * sigma[i][j]) and satisfy sigma^p = 1.
+    """
     r = len(factors)
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+    if len(sigma) != r or any(len(row) != r for row in sigma):
+        raise PreconditionError("sigma must be a square matrix over the factors")
+    sigma = tuple(tuple(int(sigma[i][j]) % factors[i] for j in range(r)) for i in range(r))
+    for i in range(r):
+        for j in range(r):
+            if (factors[j] * sigma[i][j]) % factors[i] != 0:
+                raise PreconditionError(
+                    f"sigma entry ({i},{j}) does not define a map on the factors"
+                )
+    powers = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
+    power = sigma
+    for _ in range(p - 1):
+        powers.append(power)
+        power = _mat_mul(power, sigma, factors)
+    if power != powers[0]:
+        raise PreconditionError("sigma does not satisfy sigma^p = identity")
+    return tuple(powers)
 
 
 @dataclass(frozen=True)
@@ -128,28 +143,12 @@ class AbelianModel:
         factors = tuple(int(d) for d in self.factors)
         if not factors or any(d < 2 for d in factors):
             raise PreconditionError("factors must be integers >= 2")
-        r = len(factors)
-        if len(self.sigma) != r or any(len(row) != r for row in self.sigma):
-            raise PreconditionError("sigma must be a square matrix over the factors")
-        sigma = tuple(
-            tuple(int(self.sigma[i][j]) % factors[i] for j in range(r)) for i in range(r)
-        )
-        for i in range(r):
-            for j in range(r):
-                if (factors[j] * sigma[i][j]) % factors[i] != 0:
-                    raise PreconditionError(
-                        f"sigma entry ({i},{j}) does not define a map on the factors"
-                    )
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "sigma", sigma)
-        ident = _mat_identity(factors)
-        power = sigma
-        for _ in range(self.cyclic.p - 1):
-            power = _mat_mul(power, sigma, factors)
-        if power != ident:
-            raise PreconditionError("sigma does not satisfy sigma^p = identity")
-        if sigma == ident and not self.allow_trivial_sigma:
+        powers = sigma_powers(factors, self.sigma, self.cyclic.p)
+        if powers[1] == powers[0] and not self.allow_trivial_sigma:
             raise PreconditionError("sigma is trivial; automorphism of order p required")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "sigma", powers[1])
+        object.__setattr__(self, "_sigma_powers", powers)
 
     @property
     def p(self) -> int:
@@ -161,13 +160,6 @@ class AbelianModel:
         for d in self.factors:
             n *= d
         return n
-
-    @cached_property
-    def _sigma_powers(self):
-        powers = [_mat_identity(self.factors)]
-        for _ in range(self.p - 1):
-            powers.append(_mat_mul(powers[-1], self.sigma, self.factors))
-        return tuple(powers)
 
     # -- element arithmetic
 

@@ -134,3 +134,13 @@ def test_integer_certification_round_trip(a):
     except NotAnIntegerError:
         return
     assert a == CyclotomicInt.one(a.order) * v
+
+
+def test_module_doctests():
+    import doctest
+
+    import triplepole.cyclotomic
+
+    result = doctest.testmod(triplepole.cyclotomic)
+    assert result.attempted > 0
+    assert result.failed == 0

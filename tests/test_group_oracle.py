@@ -273,17 +273,6 @@ def test_dihedral_triple_multiplicities(dihedral6):
     assert trivial_multiplicity(omega, omega, omega2, dihedral6) == 1
 
 
-def test_float_path_agrees(dihedral6, frobenius21):
-    for G in (dihedral6, frobenius21):
-        chars = characters_of_base(G)
-        for l1 in chars[:3]:
-            for l2 in chars[:3]:
-                for l3 in chars[:3]:
-                    exact = trivial_multiplicity(l1, l2, l3, G)
-                    approx = trivial_multiplicity(l1, l2, l3, G, exact=False)
-                    assert exact == approx
-
-
 def test_multiplicity_matches_honest_inner_product(frobenius21):
     # the batched summation must agree with literally multiplying the three
     # induced class functions and pairing against the trivial one

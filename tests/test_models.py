@@ -9,6 +9,7 @@ from triplepole import (
     PreconditionError,
     RelationValidationError,
     UnsupportedOperationError,
+    build_semidirect,
     validate_relations,
 )
 
@@ -23,10 +24,26 @@ def test_cyclic_data_requires_prime():
             CyclicData(bad)
 
 
-def test_cyclic_reduce():
-    c = CyclicData(5)
-    assert c.reduce(12) == 2
-    assert c.reduce(-1) == 4
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda factors, sigma, p: AbelianModel(factors, sigma, CyclicData(p)),
+        build_semidirect,
+    ],
+    ids=["AbelianModel", "build_semidirect"],
+)
+@pytest.mark.parametrize(
+    "factors,sigma,p,reason",
+    [
+        ((3, 3), ((0, 1),), 2, "square"),
+        ((2, 4), ((1, 0), (1, 1)), 2, "does not define a map"),
+        ((7,), ((2,),), 2, r"sigma\^p"),  # doubling has order 3 mod 7
+    ],
+    ids=["not-square", "not-well-defined", "order-not-dividing-p"],
+)
+def test_shared_sigma_checks(build, factors, sigma, p, reason):
+    with pytest.raises(PreconditionError, match=reason):
+        build(factors, sigma, p)
 
 
 class TestAbelianValidation:
