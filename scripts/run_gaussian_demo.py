@@ -19,7 +19,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--X", type=int, default=200000, help="norm bound")
     parser.add_argument("--tau", type=float, default=0.05, help="pole threshold")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted; has no effect")
     args = parser.parse_args()
 
     modulus = GaussianModulus((7, 0))

@@ -367,7 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the sweep seed")
         p.add_argument(
-            "--workers", type=int, default=None, help="worker threads for numerics"
+            "--workers",
+            type=int,
+            default=None,
+            help="accepted and echoed in the report; has no effect",
         )
         p.add_argument("--output", default=None, help="write the report to a file")
         p.add_argument(

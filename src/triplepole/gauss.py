@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .char_group import abelian_basis
 from .errors import (
     InvalidTwistError,
@@ -150,6 +152,16 @@ class GaussianModulus:
         """(basis, invariant factor orders, log table) of the unit group."""
         one = self.reduce((1, 0))
         return abelian_basis(self.units, self.unit_mul, one)
+
+    @cached_property
+    def unit_log_matrix(self) -> np.ndarray:
+        """Log coordinates of the units, in `units` order, each scaled by
+        L/t to a common exponent L: a character's value exponents are then
+        (unit_log_matrix @ exps) % L."""
+        _, orders, log = self.unit_structure
+        L = self.unit_exponent
+        rows = [[c * (L // t) for c, t in zip(log[u], orders)] for u in self.units]
+        return np.array(rows, dtype=np.int64)
 
     @property
     def unit_exponent(self) -> int:

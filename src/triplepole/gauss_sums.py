@@ -2,9 +2,11 @@
 
 Every nonzero ideal of Z[i] has a unique generator in the closed quadrant
 (a >= 1, b >= 0), so summing a character over ideals of norm up to X is a
-lattice walk.  The walk is reduced to integer residue counts per norm band;
-only the final conversion to a complex number touches floating point, which
-makes the result bit-identical for any worker count.
+sum over lattice points.  It is reduced to integer residue counts per norm
+band, computed in closed form from one integer square root per real part
+and band boundary, without visiting the points; only the final conversion
+to a complex number touches floating point.  The `workers` arguments are
+accepted for compatibility and have no effect.
 
 A truncated sum of a principal character grows linearly with density
 pi/4 * |units|/norm, while a non-principal one cancels; the ratio |S|/X
@@ -15,7 +17,6 @@ indeterminate verdict in between.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -33,58 +34,52 @@ _counts_cache: dict = {}
 _COUNTS_CACHE_LIMIT = 8
 
 
-def _chunk_counts(modulus: GaussianModulus, X: int, a_lo: int, a_hi: int) -> np.ndarray:
-    """Integer counts[band, unit] of ideals with generator real part in
-    [a_lo, a_hi), norm <= X, coprime to the modulus."""
-    g, span, v0 = modulus.g, modulus.x_span, modulus.v[0]
-    n_units = len(modulus.units)
-    unit_code = np.full(span * g, -1, dtype=np.int64)
-    for idx, u in enumerate(modulus.units):
-        unit_code[u[1] * span + u[0]] = idx
-    codes = []
-    for a in range(a_lo, a_hi):
-        bmax = isqrt(X - a * a)
-        b = np.arange(0, bmax + 1, dtype=np.int64)
-        norm = a * a + b * b
-        c = b // g
-        x = (a - c * v0) % span
-        y = b - c * g
-        res = y * span + x
-        code = unit_code[res]
-        keep = code >= 0
-        band = (BANDS * (norm[keep] - 1)) // X
-        codes.append(band * n_units + code[keep])
-    counts = np.zeros(BANDS * n_units, dtype=np.int64)
-    if codes:
-        flat = np.concatenate(codes)
-        counts = np.bincount(flat, minlength=BANDS * n_units).astype(np.int64)
-    return counts.reshape(BANDS, n_units)
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of nonnegative int64 values below 2**62."""
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
 
 
-def _band_counts(modulus: GaussianModulus, X: int, workers: int | None = None) -> np.ndarray:
+def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
     """Counts[band, unit] over all ideals of norm <= X, cached per
-    (modulus, X).  The worker split is over generator real parts; integer
-    accumulation makes the result independent of the split."""
+    (modulus, X).
+
+    The count is closed-form rather than a walk over the lattice.  The
+    residue of a generator a + bi depends only on (a mod x_span, b mod P)
+    with P = g * x_span / gcd(v0, x_span), and for each real part a the
+    imaginary parts b <= isqrt(T - a^2) with b = r (mod P) number
+    (isqrt(T - a^2) - r + P) // P.  Taking T at every band boundary
+    ceil(kX / BANDS), folding a by its class mod x_span and differencing
+    over k gives exact integer counts per (band, a class, r) in
+    O(sqrt(X) * BANDS * P); unit (x, y) collects the P / g classes
+    (x + j*v0 mod x_span, y + j*g).
+    """
     key = (modulus.generator, X)
     cached = _counts_cache.get(key)
     if cached is not None:
         return cached
-    a_max = isqrt(X)
-    workers = max(1, workers or 1)
-    if workers == 1 or a_max < 2 * workers:
-        counts = _chunk_counts(modulus, X, 1, a_max + 1)
-    else:
-        bounds = np.linspace(1, a_max + 1, workers + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: _chunk_counts(modulus, X, int(se[0]), int(se[1])),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            )
-        counts = np.zeros((BANDS, len(modulus.units)), dtype=np.int64)
-        for part in parts:
-            counts += part
+    g, span, v0 = modulus.g, modulus.x_span, modulus.v[0]
+    period = g * span // math.gcd(v0, span)
+    rows = (isqrt(X) // span + 1) * span  # a = 0 .. rows - 1, whole classes
+    r = np.arange(period, dtype=np.int64)
+    # b-counts per (a, r) up to the current boundary; a boundary only grows,
+    # so rows past its isqrt stay zero, and row a = 0 is never written
+    below = np.zeros((rows, period), dtype=np.int64)
+    cumulative = np.zeros((BANDS + 1, span, period), dtype=np.int64)
+    for k in range(1, BANDS + 1):
+        bound = -(-k * X // BANDS)
+        top = isqrt(bound) + 1
+        b_max = _isqrt(bound - np.arange(1, top, dtype=np.int64) ** 2)
+        below[1:top] = (b_max[:, None] - r + period) // period
+        cumulative[k] = below.reshape(-1, span, period).sum(axis=0)
+    per_band = np.diff(cumulative, axis=0)
+    units = np.array(modulus.units, dtype=np.int64)
+    j = np.arange(period // g, dtype=np.int64)
+    a_class = (units[:, :1] + j * v0) % span
+    r_class = units[:, 1:] + j * g
+    counts = per_band[:, a_class, r_class].sum(axis=2)
     if len(_counts_cache) >= _COUNTS_CACHE_LIMIT:
         _counts_cache.pop(next(iter(_counts_cache)))
     _counts_cache[key] = counts
@@ -96,17 +91,17 @@ def character_sum(psi: GaussianHeckeChar, X: int, workers: int | None = None) ->
 
     Ideals sharing a prime with the modulus contribute zero.  Counts are
     exact integers per norm band; bands are converted and added in fixed
-    order, so the value does not depend on `workers`.
+    order.  `workers` is accepted for compatibility and has no effect.
     """
     if X < 1:
         raise PreconditionError("summation bound X must be at least 1")
     modulus = psi.modulus
-    counts = _band_counts(modulus, X, workers)
+    counts = _band_counts(modulus, X)
     L = modulus.unit_exponent
-    expo = np.array([psi.value_exponent(u) for u in modulus.units], dtype=np.int64)
-    expo_counts = np.zeros((BANDS, L), dtype=np.int64)
-    for band in range(BANDS):
-        expo_counts[band] = np.bincount(expo, weights=counts[band], minlength=L)
+    expo = (modulus.unit_log_matrix @ np.array(psi.exps, dtype=np.int64)) % L
+    cells = (np.arange(BANDS)[:, None] * L + expo).ravel()
+    expo_counts = np.bincount(cells, weights=counts.ravel(), minlength=BANDS * L)
+    expo_counts = expo_counts.reshape(BANDS, L)
     angles = 2.0 * math.pi * np.arange(L) / L
     roots = np.cos(angles) + 1j * np.sin(angles)
     total = 0.0 + 0.0j

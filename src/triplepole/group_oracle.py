@@ -291,10 +291,8 @@ def projection_formula_check(
     zero = CyclotomicInt.zero(n)
     for g in group.elements():
         a, t = g
-        if t != 0:
-            lhs = zero
-        else:
-            lhs = zero
+        lhs = zero
+        if t == 0:
             for s in range(group.p):
                 sa = group.sigma_apply(a, s)
                 lhs = lhs + V((sa, 0)) * W.value(sa)

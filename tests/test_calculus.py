@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triplepole import (
-    AbelianModel,
     CuspidalDatumF,
     CyclicData,
     GenericAtom,
@@ -14,7 +13,6 @@ from triplepole import (
     UnsupportedOperationError,
     automorphic_induction,
     base_change,
-    dual,
     factorize,
     galois_shift,
     is_isomorphic,

@@ -2,8 +2,10 @@
 conjugation calculus model."""
 
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,20 @@ def test_unit_structure_shapes():
     assert GaussianModulus((3, 0)).unit_structure[1] == [8]
     assert GaussianModulus((5, 0)).unit_structure[1] == [4, 4]
     assert GaussianModulus((1, 0)).unit_structure[1] == []
+
+
+@pytest.mark.parametrize("gen", [(1, 0), (5, 0), (7, 0), (15, 0), (2, 1), (3, 2)])
+def test_unit_log_matrix_matches_value_exponent(gen):
+    # every character of the unit group, not only the ideal characters
+    modulus = GaussianModulus(gen)
+    matrix = modulus.unit_log_matrix
+    orders = modulus.unit_structure[1]
+    L = modulus.unit_exponent
+    assert matrix.shape == (len(modulus.units), len(orders))
+    for exps in itertools.product(*(range(t) for t in orders)):
+        psi = GaussianHeckeChar(modulus, exps, check=False)
+        expo = (matrix @ np.array(exps, dtype=np.int64)) % L
+        assert expo.tolist() == [psi.value_exponent(u) for u in modulus.units]
 
 
 def test_conjugation_stability():

@@ -1,13 +1,19 @@
 """Lattice character sums and the numeric pole classifier.
 
 Brute-force comparisons use a literal loop over normalized generators; the
-production path counts residues per norm band and must agree exactly.
+production path counts residues per norm band in closed form and must agree
+exactly.  `gauss_pins.json` holds counts and sums recorded from the lattice
+walk that the closed-form count replaced.
 """
 
 import cmath
+import hashlib
+import json
 import math
 from math import isqrt
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import triplepole.gauss_sums as gs
@@ -22,7 +28,6 @@ from triplepole.gauss import (
 )
 from triplepole.gauss_sums import (
     NO_POLE_CEILING,
-    PoleProbe,
     character_sum,
     classify_pole,
     ideal_count,
@@ -85,6 +90,59 @@ def test_worker_split_is_bit_identical():
     gs._counts_cache.clear()
     seven = character_sum(psi, 40000, workers=7)
     assert one == four == seven
+
+
+PINS = json.loads((Path(__file__).parent / "gauss_pins.json").read_text())
+
+
+def brute_counts(modulus, X):
+    counts = np.zeros((gs.BANDS, len(modulus.units)), dtype=np.int64)
+    index = {u: i for i, u in enumerate(modulus.units)}
+    for a in range(1, isqrt(X) + 1):
+        for b in range(0, isqrt(X - a * a) + 1):
+            if is_coprime((a, b), modulus.generator):
+                band = gs.BANDS * (a * a + b * b - 1) // X
+                counts[band, index[modulus.reduce((a, b))]] += 1
+    return counts
+
+
+def test_isqrt_is_exact_near_squares():
+    roots = [0, 1, 2, 3, 1000, 2**26 + 1, 94906265, 2**31 - 1]
+    values = sorted({max(0, s * s + d) for s in roots for d in (-1, 0, 1, 2 * s)})
+    got = gs._isqrt(np.array(values, dtype=np.int64))
+    assert got.tolist() == [isqrt(v) for v in values]
+
+
+@pytest.mark.parametrize("X", [1, 2, 31, 32, 33, 64, 4097])
+@pytest.mark.parametrize("gen", [(1, 0), (5, 0), (7, 0), (2, 1), (3, 2), (6, 3)])
+def test_band_counts_match_brute_force(gen, X):
+    # (2, 1), (3, 2) and (6, 3) are not conjugation-stable, and (6, 3) has
+    # g = 3 with a b-period of 15; X on and beside band edges
+    modulus = GaussianModulus(gen)
+    gs._counts_cache.clear()
+    counts = gs._band_counts(modulus, X)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, brute_counts(modulus, X))
+
+
+@pytest.mark.parametrize("pin", PINS["band_counts"], ids=lambda p: str(tuple(p["modulus"])))
+def test_band_counts_match_pin(pin):
+    counts = gs._band_counts(GaussianModulus(tuple(pin["modulus"])), pin["X"])
+    assert list(counts.shape) == pin["shape"]
+    assert int(counts.sum()) == pin["total"]
+    digest = hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()
+    assert digest == pin["sha256"]
+
+
+@pytest.mark.parametrize("pin", PINS["character_sums"], ids=lambda p: str(tuple(p["modulus"])))
+def test_character_sums_match_pin(pin):
+    chars = unit_trivial_characters(GaussianModulus(tuple(pin["modulus"])))
+    assert [repr(character_sum(psi, pin["X"])) for psi in chars] == pin["values"]
+
+
+def test_ideal_count_matches_pin():
+    assert PINS["ideal_count"] == {"X": 10**7, "count": 7854006}
+    assert ideal_count(10**7) == 7854006
 
 
 def test_counts_cache_reused():

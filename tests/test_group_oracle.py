@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from triplepole.cyclotomic import CyclotomicInt
 from triplepole.errors import (
-    InvariantViolationError,
     ModelMismatchError,
     PreconditionError,
 )
@@ -20,7 +19,6 @@ from triplepole.group_oracle import (
     PAIRING_NOTE,
     CharacterOfA,
     ClassFunction,
-    FiniteGroupModel,
     build_semidirect,
     characters_of_base,
     dual_sigma,
