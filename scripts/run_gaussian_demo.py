@@ -11,7 +11,12 @@ import math
 import sys
 import time
 
-from triplepole.gauss import GaussianModulus, HeckeGaussianModel, ideal_density
+from triplepole.gauss import (
+    GaussianModulus,
+    HeckeGaussianModel,
+    ideal_density,
+    unit_trivial_characters,
+)
 from triplepole.gauss_sums import ideal_count, numeric_triple_estimate, probe_pole
 
 
@@ -33,7 +38,7 @@ def main() -> int:
     count = ideal_count(args.X)
     print(f"ideal count up to {args.X}: {count} "
           f"(X*pi/4 = {args.X * math.pi / 4:.0f})")
-    trivial = HeckeGaussianModel(anchor).characters[0]
+    trivial = unit_trivial_characters(anchor)[0]
     probe = probe_pole(trivial, args.X, tau=args.tau, workers=args.workers)
     print(f"anchor ratio {probe.ratio:.6f} vs pi/4 = {math.pi / 4:.6f}")
 

@@ -24,7 +24,6 @@ from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
 from .errors import (
     ConfigError,
     IndeterminatePoleError,
-    InvalidTwistError,
     InvariantViolationError,
     ModelMismatchError,
     NotAnIntegerError,

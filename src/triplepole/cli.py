@@ -47,7 +47,6 @@ from .config import (
 from .errors import (
     ConfigError,
     IndeterminatePoleError,
-    InvalidTwistError,
     InvariantViolationError,
     ModelMismatchError,
     NotAnIntegerError,
@@ -73,14 +72,14 @@ def _label_json(label: CuspidalLabelK) -> dict:
     """Model-independent JSON rendering of a cuspidal label."""
     info: dict = {"degree": label.degree}
     model = label.model
-    if isinstance(model, AbelianModel):
+    if isinstance(model, HeckeGaussianModel):  # before its base class
+        info["exponents"] = list(label.payload)
+    elif isinstance(model, AbelianModel):
         info["coords"] = list(label.payload)
     elif isinstance(model, GenericRelationModel):
         atom_id, shift = label.payload
         info["atom"] = atom_id
         info["shift"] = shift
-    elif isinstance(model, HeckeGaussianModel):
-        info["exponents"] = list(label.payload.exps)
     else:
         info["payload"] = repr(label.payload)
     return info
@@ -330,7 +329,6 @@ def _exit_code(exc: Exception) -> int:
             PreconditionError,
             ModelMismatchError,
             RelationValidationError,
-            InvalidTwistError,
             UnsupportedOperationError,
         ),
     ):

@@ -308,7 +308,9 @@ def build_labels(model, spec: dict) -> dict:
     out = {}
     for role in ("theta1", "theta2"):
         value = spec[role]
-        if isinstance(model, AbelianModel):
+        if isinstance(model, HeckeGaussianModel):  # before its base class
+            out[role] = _gaussian_label_of(model, value)
+        elif isinstance(model, AbelianModel):
             out[role] = _abelian_label_of(model, value)
         elif isinstance(model, GenericRelationModel):
             shift = value.get("shift", 0) if isinstance(value, dict) else 0
@@ -316,18 +318,16 @@ def build_labels(model, spec: dict) -> dict:
                 model.theta1_label(shift) if role == "theta1" else model.theta2_label(shift)
             )
             out[role] = (label, "induced")
-        elif isinstance(model, HeckeGaussianModel):
-            out[role] = _gaussian_label_of(model, value)
         else:
             raise ConfigError("unsupported model for label building")
     chi_value = spec["chi"]
-    if isinstance(model, AbelianModel):
+    if isinstance(model, HeckeGaussianModel):
+        out["chi"] = _gaussian_label_of(model, chi_value)[0]
+    elif isinstance(model, AbelianModel):
         out["chi"] = _abelian_label_of(model, chi_value)[0]
-    elif isinstance(model, GenericRelationModel):
+    else:
         shift = chi_value.get("shift", 0) if isinstance(chi_value, dict) else 0
         out["chi"] = model.chi_label(shift)
-    else:
-        out["chi"] = _gaussian_label_of(model, chi_value)[0]
     return out
 
 

@@ -15,10 +15,6 @@ class UnsupportedOperationError(TriplePoleError):
     """The label model does not implement the requested operation."""
 
 
-class InvalidTwistError(TriplePoleError):
-    """Twisting character is incompatible with the label being twisted."""
-
-
 class PreconditionError(TriplePoleError):
     """A documented input precondition was violated."""
 

@@ -17,12 +17,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .char_group import abelian_basis
-from .errors import (
-    InvalidTwistError,
-    PreconditionError,
-    UnsupportedModulusError,
-)
-from .models import CuspidalLabelK
+from .errors import PreconditionError, UnsupportedModulusError
+from .models import AbelianModel, CuspidalLabelK, CyclicData
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +380,36 @@ def ideal_density(modulus: GaussianModulus) -> float:
 # calculus adapter
 
 
-class HeckeGaussianModel:
-    """Label model whose elements are ideal characters modulo a fixed
-    conjugation-stable ideal, with conjugation as the degree-2 Galois action.
+class HeckeGaussianModel(AbelianModel):
+    """The characters of the units modulo a conjugation-stable ideal, as an
+    abelian model with complex conjugation as the degree-2 Galois action.
 
-    Matching cells multiply characters instead of adding exponents; the
-    trivial character plays the role of zero.
+    An element is an exponent vector over the invariant-factor basis of the
+    unit group, so a label's payload is `psi.exps` and the label protocol is
+    the abelian one: twisting multiplies characters, the dual inverts, and
+    sigma, whose column j is the conjugate of the j-th basis character,
+    conjugates.  Labels come from the ideal characters (those killing i),
+    which these operations preserve.  Models compare by identity.
     """
 
-    p = 2
-    supports_twist = True
-    enforces_noninvariance = True
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, modulus: GaussianModulus):
         if not modulus.is_conjugation_stable:
             raise UnsupportedModulusError(
                 "the Galois action needs a conjugation-stable modulus"
             )
+        orders = modulus.unit_structure[1]
+        if not orders:
+            raise UnsupportedModulusError(
+                "the unit ideal has a trivial unit group and no Galois action"
+            )
+        columns = [
+            conjugate_char(GaussianHeckeChar(modulus, unit, check=False)).exps
+            for unit in np.eye(len(orders), dtype=int).tolist()
+        ]
+        super().__init__(factors=orders, sigma=tuple(zip(*columns)), cyclic=CyclicData(2))
         self.modulus = modulus
 
     def __repr__(self):
@@ -413,38 +422,14 @@ class HeckeGaussianModel:
     def label(self, psi: GaussianHeckeChar) -> CuspidalLabelK:
         if psi.modulus != self.modulus:
             raise PreconditionError("character modulus does not match the model")
-        return CuspidalLabelK(model=self, degree=1, payload=psi)
+        return CuspidalLabelK(model=self, degree=1, payload=psi.exps)
 
     def character_label(self, index: int) -> CuspidalLabelK:
         return self.label(self.characters[index])
 
-    def _payload(self, lab: CuspidalLabelK) -> GaussianHeckeChar:
-        return lab.payload
-
-    def shift(self, lab: CuspidalLabelK, t: int) -> CuspidalLabelK:
-        psi = lab.payload
-        return self.label(conjugate_char(psi) if t % 2 else psi)
-
-    def dual(self, lab: CuspidalLabelK) -> CuspidalLabelK:
-        return self.label(lab.payload.inverse())
-
-    def twist(self, lab: CuspidalLabelK, chi: CuspidalLabelK) -> CuspidalLabelK:
-        if chi.degree != 1:
-            raise InvalidTwistError("twisting label must have degree 1")
-        return self.label(lab.payload.mul(chi.payload))
-
-    def is_isomorphic(self, a: CuspidalLabelK, b: CuspidalLabelK) -> bool:
-        return a.payload == b.payload
-
-    def is_invariant(self, lab: CuspidalLabelK) -> bool:
-        return conjugate_char(lab.payload) == lab.payload
-
-    def matching_cell(self, theta1, theta2, chi, j: int, k: int) -> bool:
-        psi = self._shifted(theta2, j).mul(self._shifted(theta1, k)).mul(chi.payload)
-        return psi.is_trivial
-
-    def _shifted(self, lab: CuspidalLabelK, t: int) -> GaussianHeckeChar:
-        return conjugate_char(lab.payload) if t % 2 else lab.payload
+    def character(self, element) -> GaussianHeckeChar:
+        """The ideal character an element of the model stands for."""
+        return GaussianHeckeChar(self.modulus, element)
 
     def describe(self) -> dict:
         return {

@@ -244,11 +244,7 @@ def numeric_triple_estimate(
     cells = []
     for j in range(2):
         for k in range(2):
-            product = (
-                model._shifted(theta2, j)
-                .mul(model._shifted(theta1, k))
-                .mul(chi.payload)
-            )
+            product = model.character(model.cell(theta1, theta2, chi, j, k))
             probe = probe_pole(product, X, tau, workers)
             if probe.verdict == "indeterminate":
                 raise IndeterminatePoleError(

@@ -11,13 +11,16 @@ that decides when a Rankin-Selberg pairing has a pole.  Three models ship:
 * GenericRelationModel: labels are opaque atoms with declared matching
   relations; used to express situations (higher-degree constituents,
   unknown character groups) where only the relation pattern is known.
-* HeckeGaussianModel (in triplepole.gauss): labels are unit-trivial Hecke
-  characters of the Gaussian field at a fixed modulus.
+* HeckeGaussianModel (in triplepole.gauss): an AbelianModel whose group is
+  the character group of the units modulo a conjugation-stable Gaussian
+  ideal, with conjugation as sigma; labels are its ideal characters.
 
-All models expose the same duck-typed protocol: label construction,
-``shift``, ``dual``/``twist`` (or UnsupportedOperationError), ``is_isomorphic``,
+AbelianModel and GenericRelationModel expose the same duck-typed protocol,
+which HeckeGaussianModel inherits: label construction, ``shift``,
+``dual``/``twist`` (or UnsupportedOperationError), ``is_isomorphic``,
 ``is_invariant``, ``matching_cell``, plus the class flags ``supports_twist``
-and ``enforces_noninvariance``.
+and ``enforces_noninvariance``.  AbelianModel also exposes ``cell``, the
+group element whose vanishing turns a matching cell on.
 """
 
 from __future__ import annotations
@@ -226,14 +229,16 @@ class AbelianModel:
         a = self._payload(lab)
         return self.apply_sigma(a, 1) == a
 
-    def matching_cell(self, theta1, theta2, chi, j: int, k: int) -> bool:
-        """Cell (j, k) is on exactly when shift^j(theta2) + shift^k(theta1)
-        + chi vanishes in A."""
+    def cell(self, theta1, theta2, chi, j: int, k: int) -> tuple[int, ...]:
+        """The element shift^j(theta2) + shift^k(theta1) + chi of A."""
         e1 = self._payload(theta1)
         e2 = self._payload(theta2)
         ec = self._payload(chi)
-        total = self.add(self.add(self.apply_sigma(e2, j), self.apply_sigma(e1, k)), ec)
-        return total == self.zero()
+        return self.add(self.add(self.apply_sigma(e2, j), self.apply_sigma(e1, k)), ec)
+
+    def matching_cell(self, theta1, theta2, chi, j: int, k: int) -> bool:
+        """Cell (j, k) is on exactly when its element vanishes in A."""
+        return self.cell(theta1, theta2, chi, j, k) == self.zero()
 
     def describe(self) -> dict:
         return {

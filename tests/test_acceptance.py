@@ -35,6 +35,7 @@ from triplepole import (
     sweep,
     triple_pole_order,
     trivial_multiplicity,
+    unit_trivial_characters,
 )
 
 
@@ -277,7 +278,7 @@ def test_criterion_8_numeric_agreement_on_gaussian_demo():
             assert cell["ratio"] < 0.01
     assert poles == {(0, 0), (1, 1)}
 
-    anchor = HeckeGaussianModel(GaussianModulus((1, 0))).characters[0]
+    anchor = unit_trivial_characters(GaussianModulus((1, 0)))[0]
     probe = probe_pole(anchor, X)
     assert abs(probe.ratio - math.pi / 4) <= 0.01
     elapsed = time.monotonic() - start

@@ -151,6 +151,37 @@ def test_factorize_mixed_base_change(capsys):
     assert result["factors"][0]["left"]["coords"] == [0]
 
 
+def test_pole_order_gaussian_labels(capsys):
+    code, report = run_json(
+        capsys, "pole-order", "--config", str(CONFIGS / "gaussian_mod7.json")
+    )
+    assert code == 0
+    result = report["result"]
+    assert result["ell"] == 2
+    assert result["theta1"] == {"degree": 1, "exponents": [4]}
+    assert result["theta2"] == {"degree": 1, "exponents": [4]}
+    assert result["chi"] == {"degree": 1, "exponents": [40]}
+    assert result["matrix"]["true_cells"] == [[0, 0], [1, 1]]
+    assert result["model"] == {
+        "kind": "gaussian", "modulus": [7, 0], "norm": 49, "p": 2, "characters": 12
+    }
+
+
+def test_factorize_gaussian_labels(capsys):
+    code, report = run_json(
+        capsys, "factorize", "--config", str(CONFIGS / "gaussian_mod7.json")
+    )
+    assert code == 0
+    factors = report["result"]["factors"]
+    assert [(f["j"], f["k"], f["pole_order"]) for f in factors] == [
+        (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)
+    ]
+    assert [f["left"]["exponents"] for f in factors] == [[4], [28], [4], [28]]
+    assert [f["right"] for f in factors] == [
+        {"degree": 1, "exponents": e} for e in ([44], [44], [20], [20])
+    ]
+
+
 def test_factorize_both_induced(capsys):
     code, report = run_json(
         capsys, "factorize", "--config", str(CONFIGS / "abelian_z7.json")
@@ -309,11 +340,23 @@ def test_oracle_compare_disagreement_exit_code(monkeypatch, capsys):
     assert report["result"]["equal"] is False
 
 
-def test_oracle_compare_needs_abelian_model(tmp_path, capsys):
-    config = gaussian_config(tmp_path)
-    code, report = run_json(capsys, "oracle-compare", "--config", config)
+def test_oracle_compare_needs_abelian_model(capsys):
+    code, report = run_json(
+        capsys, "oracle-compare", "--config", str(CONFIGS / "generic_mismatch.json")
+    )
     assert code == 2
     assert "abelian" in report["error"]["message"]
+
+
+def test_oracle_compare_gaussian(capsys):
+    code, report = run_json(
+        capsys, "oracle-compare", "--config", str(CONFIGS / "gaussian_mod7.json")
+    )
+    assert code == 0
+    result = report["result"]
+    assert result["ell"] == result["multiplicity"] == 2
+    assert result["equal"] is True
+    assert result["group_order"] == 96
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +453,20 @@ def test_invariant_inducer_exits_3(tmp_path, capsys):
     code, report = run_json(capsys, "pole-order", "--config", config)
     assert code == 3
     assert report["error"]["type"] == "PreconditionError"
+
+
+def test_unit_ideal_modulus_exits_3(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        {
+            "version": 1,
+            "model": {"kind": "gaussian", "modulus": [1, 0]},
+            "labels": {"theta1": 0, "theta2": 0, "chi": 0},
+        },
+    )
+    code, report = run_json(capsys, "pole-order", "--config", config)
+    assert code == 3
+    assert report["error"]["type"] == "UnsupportedModulusError"
 
 
 def test_invariant_failures_map_to_4():

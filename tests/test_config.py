@@ -178,7 +178,8 @@ def test_build_labels_gaussian_index():
     model = build_model(gaussian_spec())
     labels = build_labels(model, {"theta1": 1, "theta2": {"index": 1}, "chi": 10})
     assert labels["theta1"][0] == labels["theta2"][0]
-    assert labels["chi"].payload.exps == (40,)
+    assert labels["chi"].payload == (40,)
+    assert model.character(labels["chi"].payload) == model.characters[10]
 
 
 def test_build_labels_gaussian_index_out_of_range():

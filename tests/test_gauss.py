@@ -30,6 +30,7 @@ from triplepole.gauss import (
     is_coprime,
     unit_trivial_characters,
 )
+from triplepole.models import AbelianModel
 
 gaussian = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 nonzero = gaussian.filter(lambda z: z != (0, 0))
@@ -337,6 +338,64 @@ def test_adapter_requires_stable_modulus():
         HeckeGaussianModel(GaussianModulus((2, 1)))
 
 
+def test_adapter_rejects_unit_ideal():
+    # a trivial unit group: no Galois action and no cuspidal induced datum
+    with pytest.raises(UnsupportedModulusError, match="unit ideal"):
+        HeckeGaussianModel(GaussianModulus((1, 0)))
+
+
+def test_adapter_is_an_abelian_model(model7):
+    assert isinstance(model7, AbelianModel)
+    assert model7.factors == (48,) and model7.p == 2
+    assert model7.sigma == ((7,),)  # conjugation is Frobenius on F_49
+    other = HeckeGaussianModel(GaussianModulus((7, 0)))
+    assert model7 == model7 and model7 != other  # identity, not value, equality
+    assert len({model7, other}) == 2
+    assert repr(model7) == "HeckeGaussianModel((7, 0))"
+
+
+def test_adapter_character_rejects_non_ideal_elements(model7):
+    assert model7.character((4,)) == model7.characters[1]
+    with pytest.raises(PreconditionError, match="image of i"):
+        model7.character((1,))
+
+
+# The label protocol is inherited from AbelianModel; the character formulas
+# it replaced are kept here as the reference.
+
+
+@pytest.mark.parametrize(
+    "gen", [(3, 0), (5, 0), (7, 0), (9, 0), (13, 0), (15, 0), (21, 0), (25, 0)], ids=str
+)
+def test_label_protocol_matches_character_formulas(gen):
+    model = HeckeGaussianModel(GaussianModulus(gen))
+    for psi in model.characters:
+        lab = model.label(psi)
+        bar = conjugate_char(psi)
+        assert model.shift(lab, 1).payload == bar.exps
+        assert model.dual(lab).payload == psi.inverse().exps
+        assert model.is_invariant(lab) == (bar == psi)
+
+
+def test_sigma_of_13_is_not_symmetric():
+    # so that a sigma built from rows instead of columns fails the test above
+    sigma = HeckeGaussianModel(GaussianModulus((13, 0))).sigma
+    assert sigma != tuple(zip(*sigma))
+
+
+@pytest.mark.parametrize("gen", [(7, 0), (9, 0), (15, 0)], ids=str)
+def test_cells_match_character_products(gen):
+    model = HeckeGaussianModel(GaussianModulus(gen))
+    chars = model.characters
+    labels = [model.label(psi) for psi in chars]
+    shifts = [(psi, conjugate_char(psi)) for psi in chars]
+    for (lab1, shift1), (lab2, shift2) in itertools.product(zip(labels, shifts), repeat=2):
+        for j, k in itertools.product(range(2), repeat=2):
+            product = shift2[j].mul(shift1[k])
+            for chi, lab_chi in zip(chars, labels):
+                assert model.cell(lab1, lab2, lab_chi, j, k) == product.mul(chi).exps
+
+
 def test_adapter_demo_matrix(model7):
     t1 = model7.character_label(1)
     chi = model7.character_label(10)
@@ -372,9 +431,10 @@ def test_adapter_label_operations(model7):
     lab = model7.character_label(3)
     assert model7.shift(lab, 2) == lab  # conjugation is an involution
     assert model7.shift(model7.shift(lab, 1), 1) == lab
-    assert model7.dual(lab).payload == lab.payload.inverse()
+    psi = model7.characters[3]
+    assert model7.character(model7.dual(lab).payload) == psi.inverse()
     twisted = model7.twist(lab, model7.character_label(2))
-    assert twisted.payload == lab.payload.mul(model7.characters[2])
+    assert model7.character(twisted.payload) == psi.mul(model7.characters[2])
     assert model7.is_isomorphic(lab, model7.character_label(3))
     assert not model7.is_isomorphic(lab, model7.character_label(2))
 

@@ -3,7 +3,8 @@
 Brute-force comparisons use a literal loop over normalized generators; the
 production path counts residues per norm band in closed form and must agree
 exactly.  `gauss_pins.json` holds counts and sums recorded from the lattice
-walk that the closed-form count replaced.
+walk that the closed-form count replaced, and whole triple estimates recorded
+before the Gaussian label model became an `AbelianModel`.
 """
 
 import cmath
@@ -143,6 +144,18 @@ def test_character_sums_match_pin(pin):
 def test_ideal_count_matches_pin():
     assert PINS["ideal_count"] == {"X": 10**7, "count": 7854006}
     assert ideal_count(10**7) == 7854006
+
+
+@pytest.mark.parametrize("modulus", [(7, 0), (9, 0), (15, 0), (21, 0)], ids=str)
+def test_triple_estimates_match_pin(modulus):
+    # every other pinned chi is aimed at one cell, so that poles occur
+    pins = [p for p in PINS["triple_estimates"] if tuple(p["modulus"]) == modulus]
+    assert len(pins) == 20
+    model = HeckeGaussianModel(GaussianModulus(modulus))
+    for pin in pins:
+        labels = [model.character_label(pin[role]) for role in ("theta1", "theta2", "chi")]
+        est = numeric_triple_estimate(*labels, X=pin["X"])
+        assert est.to_dict() == pin["estimate"], pin
 
 
 def test_counts_cache_reused():

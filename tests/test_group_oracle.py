@@ -15,6 +15,7 @@ from triplepole.errors import (
     ModelMismatchError,
     PreconditionError,
 )
+from triplepole.gauss import GaussianModulus, HeckeGaussianModel
 from triplepole.group_oracle import (
     PAIRING_NOTE,
     CharacterOfA,
@@ -403,6 +404,14 @@ def test_agreement_sweep_is_clean(model):
     )
     assert rep["triples"] == noninv * noninv * model.order
     assert rep["group_order"] == model.p * model.order
+
+
+@pytest.mark.parametrize("m, triples", [(3, 288), (5, 2304), (7, 84672)])
+def test_agreement_sweep_on_gaussian_moduli(m, triples):
+    # the whole character group of the units mod m, conjugation as sigma
+    rep = oracle_agreement_sweep(HeckeGaussianModel(GaussianModulus((m, 0))))
+    assert rep["mismatches"] == []
+    assert rep["triples"] == triples
 
 
 @settings(max_examples=40, deadline=None)

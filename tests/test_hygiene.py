@@ -1,9 +1,11 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no error
+class is defined that nothing raises.
 
 Every `.py` file under `src/`, `tests/` and `scripts/` is parsed with `ast`.
 A name bound by an import must be read somewhere in the same file.  Imports
 in a package `__init__.py` are its public re-exports and are skipped, as
-are names listed in a module's `__all__`.
+are names listed in a module's `__all__`.  Every class in `errors.py` must
+be raised under `src/`, or be a base of a class that is.
 """
 
 import ast
@@ -75,3 +77,53 @@ def test_checker_flags_unused_and_keeps_used():
         "print(sys.argv, PI)\n"
     )
     assert unused_imports(source) == ["line 2: os"]
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """Classes defined in `errors_source` that no `raise` in `sources`
+    names, neither directly nor through a subclass."""
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    covered = set()
+    pending = [name for name in raised if name in bases]
+    while pending:
+        name = pending.pop()
+        if name not in covered:
+            covered.add(name)
+            pending.extend(b for b in bases[name] if b in bases)
+    return sorted(set(bases) - covered)
+
+
+def test_every_error_class_is_raised():
+    errors = ROOT / "src" / "triplepole" / "errors.py"
+    sources = [path.read_text() for path in (ROOT / "src").rglob("*.py")]
+    assert unraised_errors(errors.read_text(), sources) == []
+
+
+def test_error_checker_follows_raises_and_bases():
+    errors = (
+        "class Base(Exception):\n    pass\n"
+        "class Middle(Base):\n    pass\n"
+        "class Leaf(Middle):\n    pass\n"
+        "class Dotted(Exception):\n    pass\n"
+        "class Unused(Base):\n    pass\n"
+        "class Mentioned(Exception):\n    pass\n"
+    )
+    sources = [
+        "def f():\n    raise Leaf('x')\n",
+        "def g():\n    raise errors.Dotted from None\n",
+        "def h():\n    try:\n        pass\n    except Mentioned:\n        raise\n",
+    ]
+    assert unraised_errors(errors, sources) == ["Mentioned", "Unused"]
