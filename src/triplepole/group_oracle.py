@@ -302,14 +302,39 @@ def projection_formula_check(
     return True
 
 
+def _orbit_reps(group: FiniteGroupModel) -> np.ndarray:
+    """rep[i]: the least index in the orbit of base character i under
+    lam -> lam o sigma.
+
+    Characters are indexed by their exponent vectors in mixed radix, as in
+    `characters_of_base`; lam o sigma has the exponent vector
+    dual_sigma(sigma) e, which for `oracle_group(model)` is model.sigma e.
+    """
+    factors = np.array(group.factors, dtype=np.int64)
+    strides = np.cumprod(np.r_[1, factors[:0:-1]])[::-1]
+    dual_t = np.array(dual_sigma(group.factors, group.sigma), dtype=np.int64).T
+    exps = np.array(group.base_elements(), dtype=np.int64)
+    rep = np.arange(group.base_order)
+    for _ in range(group.p - 1):
+        exps = exps @ dual_t % factors
+        rep = np.minimum(rep, exps @ strides)
+    return rep
+
+
 def projection_formula_sweep(group: FiniteGroupModel) -> dict:
     """Run the projection-formula identity over every pair (V = induced
     character, W = base character) of the group.
 
+    The identity for (v, w) is the same statement as for (v o sigma, w),
+    since Ind lambda_v depends only on the sigma-orbit of lambda_v, and as
+    for (v, w o sigma), since Res V is sigma-stable and Ind(W o sigma) =
+    Ind W.  So one statement is checked per pair of orbits: `statements`
+    counts them and `checked` counts the base_order**2 pairs they cover.
     Both sides are monomial sums; the sweep compares their sorted exponent
     multisets, which is a sufficient condition for equality in the
-    cyclotomic ring.  Any pair failing the multiset test is re-verified by
-    the exact value-by-value check before being reported as a failure.
+    cyclotomic ring.  A representative pair failing the multiset test is
+    re-verified by the exact value-by-value check before being reported as
+    a failure, and a listed failure stands for its whole orbit pair.
     """
     nbase, p, n = group.base_order, group.p, group.nexp
     coords = np.array(group.base_elements(), dtype=np.int64)
@@ -318,27 +343,27 @@ def projection_formula_sweep(group: FiniteGroupModel) -> dict:
     E = (coords * weights) @ coords.T % n
     sig = np.array(group.sigma_index, dtype=np.int64)  # (p, nbase)
     sig2 = sig[:, sig]  # sig2[s, t, a] = sigma^s(sigma^t(a))
+    reps = np.unique(_orbit_reps(group))
+    nrep = len(reps)
+    w_part = E[reps][:, sig]  # (w, t, nbase)
     failures = []
-    checked = 0
     chars = None
-    for v_idx in range(nbase):
+    for v_idx in reps.tolist():
         # LHS at a: exponents E[v, sigma^s sigma^t a] + E[w, sigma^t a]
         lhs_v = E[v_idx][sig2]  # (p, p, nbase)
         rhs_v = E[v_idx][sig]  # (s, nbase)
-        w_part = E[:, sig]  # (nbase_w, t, nbase)
         lhs = (lhs_v[None, :, :, :] + w_part[:, None, :, :]) % n
         rhs = (rhs_v[None, :, None, :] + w_part[:, None, :, :]) % n
-        lhs_sorted = np.sort(lhs.reshape(nbase, p * p, nbase), axis=1)
-        rhs_sorted = np.sort(rhs.reshape(nbase, p * p, nbase), axis=1)
+        lhs_sorted = np.sort(lhs.reshape(nrep, p * p, nbase), axis=1)
+        rhs_sorted = np.sort(rhs.reshape(nrep, p * p, nbase), axis=1)
         agree = np.all(lhs_sorted == rhs_sorted, axis=(1, 2))
-        checked += nbase
-        for w_idx in np.nonzero(~agree)[0]:
+        for w_idx in reps[~agree].tolist():
             if chars is None:
                 chars = characters_of_base(group)
             V = induced_character(chars[v_idx], group)
-            if not projection_formula_check(V, chars[int(w_idx)], group):
-                failures.append({"v": v_idx, "w": int(w_idx)})
-    return {"checked": checked, "failures": failures}
+            if not projection_formula_check(V, chars[w_idx], group):
+                failures.append({"v": v_idx, "w": w_idx})
+    return {"checked": nbase * nbase, "statements": nrep * nrep, "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +463,17 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     """Criterion-level agreement check: for every valid triple of the model,
     the oracle's trivial multiplicity must equal the matching-matrix count.
 
-    This is the same full summation trivial_multiplicity performs, run for
-    all twisting characters of a pair at once: monomial exponents are
+    The multiplicity of (theta1, theta2, chi) is that of the tensor product
+    of the three induced characters, and Ind lambda depends only on the
+    sigma-orbit of lambda; so it equals the multiplicity of (sigma^a theta1,
+    sigma^b theta2, sigma^c chi) for every a, b, c.  It is therefore
+    computed once for each pair of non-invariant orbit representatives and
+    each representative chi (`oracle_sums` counts the pairs), by the full
+    summation trivial_multiplicity performs: monomial exponents are
     accumulated into count vectors, reduced by the exact cyclotomic
-    remainder matrix, certified integer, and divided by |G|.
+    remainder matrix, certified integer, and divided by |G|.  Every triple
+    is then compared with the kernel's pole order through its
+    representatives, in (theta1, theta2, chi) index order.
     """
     G = oracle_group(model)
     p, n, nbase = G.p, G.nexp, G.base_order
@@ -454,45 +486,56 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     E = pair_exp[:, sig]  # (char, p, base)
     R = _remainder_matrix(n)
     deg = R.shape[1]
-    offsets = (np.arange(nbase) * n)[:, None]  # one bincount for every chi
+    R_high = R[deg:]  # rows below deg are unit vectors: x^e is already reduced
 
     kernel = TripleKernel(model)
-    mismatches = []
-    triples = 0
-    for a, b in kernel.pair_blocks():
-        theta1s, theta2s = kernel.noninv[a].tolist(), kernel.noninv[b].tolist()
-        for i1, i2, ells in zip(theta1s, theta2s, pole_orders(kernel.chi(a, b), nbase)):
-            E1 = E[i1]  # (p, base)
-            E2 = E[i2]
-            d12 = (E1[:, None, :] + E2[None, :, :]).reshape(p * p, nbase)
-            # combined[c, t1t2, t3, b] exponent sums for every chi at once
-            combined = (d12[None, :, None, :] + E[:, None, :, :]) % n
-            flat = combined.reshape(nbase, -1) + offsets
-            counts = np.bincount(flat.ravel(), minlength=nbase * n).reshape(nbase, n)
-            reduced = counts @ R
+    rep = _orbit_reps(G)
+    # chi_at[c], inducer_at[a]: position of the representative of chi c,
+    # of theta = noninv[a], among the representatives
+    chis, chi_at = np.unique(rep, return_inverse=True)
+    inducers, inducer_at = np.unique(rep[kernel.noninv], return_inverse=True)
+    # exponent sums of three characters lie in [0, 3n - 3]: one bincount
+    # row of 3n bins per chi, folded mod n afterwards
+    E_chi = E[chis] + (np.arange(len(chis)) * 3 * n)[:, None, None]
+    # M[x, y, c]: multiplicity of (inducers[x], inducers[y], chis[c])
+    M = np.empty((len(inducers), len(inducers), len(chis)), dtype=np.int64)
+    for x, i1 in enumerate(inducers):
+        for y, i2 in enumerate(inducers):
+            d12 = (E[i1][:, None, :] + E[i2][None, :, :]).reshape(p * p, nbase)
+            # combined[c, t1t2, t3, b]: exponent sums for every chi at once,
+            # offset into the bins of chi c
+            combined = d12[None, :, None, :] + E_chi[:, None, :, :]
+            counts = np.bincount(combined.ravel(), minlength=len(chis) * 3 * n)
+            counts = counts.reshape(-1, 3, n).sum(axis=1)
+            reduced = counts[:, :deg] + counts[:, deg:] @ R_high
             if deg > 1 and np.any(reduced[:, 1:]):
                 raise InvariantViolationError("oracle sum is not a rational integer")
             sums = reduced[:, 0]
             if np.any(sums % G.order):
                 raise InvariantViolationError("oracle sum is not divisible by |G|")
-            mult = sums // G.order
+            M[x, y] = sums // G.order
 
-            triples += nbase
-            bad = np.nonzero(mult != ells)[0]
-            for c in bad:
-                mismatches.append(
-                    {
-                        "theta1": list(model.decode(i1)),
-                        "theta2": list(model.decode(i2)),
-                        "chi": list(model.decode(int(c))),
-                        "ell": int(ells[c]),
-                        "multiplicity": int(mult[c]),
-                    }
-                )
+    mismatches = []
+    triples = 0
+    for a, b in kernel.pair_blocks():
+        ells = pole_orders(kernel.chi(a, b), nbase)
+        mult = M[inducer_at[a][:, None], inducer_at[b][:, None], chi_at]
+        triples += ells.size
+        for q, c in zip(*np.nonzero(mult != ells)):
+            mismatches.append(
+                {
+                    "theta1": list(model.decode(int(kernel.noninv[a[q]]))),
+                    "theta2": list(model.decode(int(kernel.noninv[b[q]]))),
+                    "chi": list(model.decode(int(c))),
+                    "ell": int(ells[q, c]),
+                    "multiplicity": int(mult[q, c]),
+                }
+            )
     return {
         "model": model.describe(),
         "group_order": G.order,
         "triples": triples,
+        "oracle_sums": len(inducers) ** 2,
         "mismatches": mismatches,
         "pairing": PAIRING_NOTE,
     }

@@ -6,10 +6,14 @@ the order-6 dihedral group (Z/3 by negation) and the order-21 Frobenius
 group (Z/7 by doubling).
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triplepole.group_oracle as group_oracle
+from triplepole.calculus import matching_matrix
 from triplepole.cyclotomic import CyclotomicInt
 from triplepole.errors import (
     ModelMismatchError,
@@ -33,7 +37,8 @@ from triplepole.group_oracle import (
     trivial_class_function,
     trivial_multiplicity,
 )
-from triplepole.models import AbelianModel, CyclicData
+from triplepole.models import AbelianModel, CyclicData, _mat_apply
+from triplepole.sweep import TripleKernel
 
 
 @pytest.fixture
@@ -89,8 +94,6 @@ def test_dual_sigma_pairing_identity(factors, sigma):
     # pairing(sigma a, b) == pairing(a, dual_sigma b) for all a, b
     from itertools import product
     from math import lcm
-
-    from triplepole.models import _mat_apply
 
     dual = dual_sigma(factors, sigma)
     n = lcm(*factors)
@@ -301,10 +304,11 @@ def test_projection_formula_single(dihedral6):
 
 
 def test_projection_formula_sweep_counts(dihedral6, frobenius21):
+    # characters of Z/3 fall into 2 sigma-orbits, those of Z/7 into 3
     r6 = projection_formula_sweep(dihedral6)
-    assert r6 == {"checked": 9, "failures": []}
+    assert r6 == {"checked": 9, "statements": 4, "failures": []}
     r21 = projection_formula_sweep(frobenius21)
-    assert r21 == {"checked": 49, "failures": []}
+    assert r21 == {"checked": 49, "statements": 9, "failures": []}
 
 
 def test_projection_formula_sweep_mixed_factors():
@@ -324,6 +328,103 @@ def test_projection_formula_detects_corruption(dihedral6):
     fake = ClassFunction(G, values, check=False)
     W = CharacterOfA(G, (1,))
     assert not projection_formula_check(fake, W, G)
+
+
+# ---------------------------------------------------------------------------
+# sigma-orbits of characters
+
+
+MIXED_MODEL = AbelianModel(factors=(2, 4), sigma=((1, 1), (0, 1)), cyclic=CyclicData(2))
+
+ORBIT_GROUPS = {
+    "Z3p2": build_semidirect((3,), ((2,),), 2),
+    "Z7p3": build_semidirect((7,), ((2,),), 3),
+    "Z11p5": build_semidirect((11,), ((3,),), 5),
+    "Z2xZ4p2": oracle_group(MIXED_MODEL),
+}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_GROUPS))
+def test_multiplicity_is_constant_on_sigma_orbits(name):
+    G = ORBIT_GROUPS[name]
+    chars = characters_of_base(G)
+    base = G.base_elements()
+    values = [[lam.value_exponent(a) for a in base] for lam in chars]
+    dual = dual_sigma(G.factors, G.sigma)
+    if name == "Z2xZ4p2":
+        # the oracle group carries the dual; characters move by the model's sigma
+        assert G.sigma != dual == MIXED_MODEL.sigma
+    # shift[i]: the index of lam_i o sigma, found by evaluating it
+    shift = []
+    for lam in chars:
+        moved = [lam.value_exponent(G.sigma_apply(a)) for a in base]
+        j = values.index(moved)
+        assert chars[j].exponents == _mat_apply(dual, G.factors, lam.exponents)
+        shift.append(j)
+    powers = [list(range(len(chars)))]
+    for _ in range(G.p - 1):
+        powers.append([shift[i] for i in powers[-1]])
+    assert [shift[i] for i in powers[-1]] == powers[0]
+
+    mult = {
+        triple: trivial_multiplicity(*(chars[i] for i in triple), G)
+        for triple in itertools.product(range(len(chars)), repeat=3)
+    }
+    for (i1, i2, i3), value in mult.items():
+        for a, b, c in itertools.product(range(G.p), repeat=3):
+            assert mult[powers[a][i1], powers[b][i2], powers[c][i3]] == value
+
+    reps = group_oracle._orbit_reps(G)
+    assert reps.tolist() == [min(pw[i] for pw in powers) for i in range(len(chars))]
+
+
+@pytest.mark.parametrize(
+    "model, oracle_sums",
+    [
+        (AbelianModel(factors=(7,), sigma=((2,),), cyclic=CyclicData(3)), 4),
+        (MIXED_MODEL, 4),
+        # 60 non-invariant labels, 3600 pairs over several kernel blocks
+        (AbelianModel(factors=(63,), sigma=((4,),), cyclic=CyclicData(3)), 400),
+    ],
+    ids=["Z7p3", "Z2xZ4p2", "Z63p3"],
+)
+def test_agreement_sweep_compares_every_triple(model, oracle_sums, monkeypatch):
+    # bump the kernel's ell on one triple none of whose labels is its orbit's
+    # representative: the sweep must still report exactly that triple
+    kernel = TripleKernel(model)
+    reps = group_oracle._orbit_reps(oracle_group(model))
+    noninv = kernel.noninv.tolist()
+    moved = [pos for pos, i in enumerate(noninv) if reps[i] != i]
+    a, b = moved[-1], moved[len(moved) // 2]
+    c = max(i for i in range(model.order) if reps[i] != i)
+    target = a * kernel.m + b
+    real = group_oracle.pole_orders
+    seen = [0]
+
+    def bumped(chi, n):
+        ells = real(chi, n)
+        q = target - seen[0]
+        if 0 <= q < len(ells):
+            ells[q, c] += 1
+        seen[0] += len(ells)
+        return ells
+
+    monkeypatch.setattr(group_oracle, "pole_orders", bumped)
+    rep = oracle_agreement_sweep(model)
+    labels = [model.label(model.decode(i)) for i in (noninv[a], noninv[b], c)]
+    ell = matching_matrix(*labels).ell
+    assert seen[0] == kernel.m**2
+    assert rep["triples"] == kernel.m**2 * model.order
+    assert rep["oracle_sums"] == oracle_sums
+    assert rep["mismatches"] == [
+        {
+            "theta1": list(model.decode(noninv[a])),
+            "theta2": list(model.decode(noninv[b])),
+            "chi": list(model.decode(c)),
+            "ell": ell + 1,
+            "multiplicity": ell,
+        }
+    ]
 
 
 # ---------------------------------------------------------------------------
