@@ -1,92 +1,132 @@
-"""Pole orders of triple products with an induced character factor."""
+"""Pole orders of triple products with an induced character factor.
+
+The public names below are imported from their submodules on first use
+(PEP 562), so ``import triplepole`` loads no lane until one is asked for.
+"""
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from .calculus import (
-    CuspidalDatumF,
-    InducedFrom,
-    IsobaricRep,
-    MatchingMatrix,
-    RSFactor,
-    StaysCuspidal,
-    automorphic_induction,
-    base_change,
-    dual,
-    factorize,
-    galois_shift,
-    is_isomorphic,
-    matching_matrix,
-    rs_pole_order,
-    triple_pole_order,
-    twist,
-)
-from .cyclotomic import CyclotomicInt, cyclotomic_polynomial
-from .errors import (
-    ConfigError,
-    IndeterminatePoleError,
-    InvariantViolationError,
-    ModelMismatchError,
-    NotAnIntegerError,
-    PreconditionError,
-    RelationValidationError,
-    TriplePoleError,
-    UnsupportedModulusError,
-    UnsupportedOperationError,
-)
-from .models import (
-    AbelianModel,
-    CuspidalLabelK,
-    CyclicData,
-    GenericAtom,
-    GenericRelationModel,
-    RelationDiagnostic,
-    validate_relations,
-)
-from .char_group import abelian_basis
-from .config import CONFIG_SCHEMA, CONFIG_VERSION, REPORT_VERSION, load_config
-from .gauss import (
-    DirichletChar,
-    GaussianHeckeChar,
-    GaussianModulus,
-    HeckeGaussianModel,
-    conjugate_char,
-    dirichlet_via_norm,
-    ideal_density,
-    unit_trivial_characters,
-)
-from .gauss_sums import (
-    PoleProbe,
-    TripleEstimate,
-    character_sum,
-    classify_pole,
-    ideal_count,
-    numeric_triple_estimate,
-    probe_pole,
-)
-from .group_oracle import (
-    CharacterOfA,
-    ClassFunction,
-    FiniteGroupModel,
-    OracleComparison,
-    build_semidirect,
-    characters_of_base,
-    dual_sigma,
-    induced_character,
-    inner_product,
-    oracle_agreement_sweep,
-    oracle_compare,
-    oracle_group,
-    projection_formula_check,
-    projection_formula_sweep,
-    trivial_multiplicity,
-)
-from .sweep import (
-    SweepBudget,
-    SweepFamily,
-    SweepReport,
-    catalogue_cyclic,
-    catalogue_rank2,
-    find_witness,
-    shipped_catalogue,
-    sweep,
-)
+_EXPORTS = {
+    "calculus": (
+        "CuspidalDatumF",
+        "InducedFrom",
+        "IsobaricRep",
+        "MatchingMatrix",
+        "RSFactor",
+        "StaysCuspidal",
+        "automorphic_induction",
+        "base_change",
+        "dual",
+        "factorize",
+        "galois_shift",
+        "is_isomorphic",
+        "matching_matrix",
+        "rs_pole_order",
+        "triple_pole_order",
+        "twist",
+    ),
+    "cyclotomic": ("CyclotomicInt", "cyclotomic_polynomial"),
+    "errors": (
+        "ConfigError",
+        "IndeterminatePoleError",
+        "InvariantViolationError",
+        "ModelMismatchError",
+        "NotAnIntegerError",
+        "PreconditionError",
+        "RelationValidationError",
+        "TriplePoleError",
+        "UnsupportedModulusError",
+        "UnsupportedOperationError",
+    ),
+    "models": (
+        "AbelianModel",
+        "CuspidalLabelK",
+        "CyclicData",
+        "GenericAtom",
+        "GenericRelationModel",
+        "RelationDiagnostic",
+        "validate_relations",
+    ),
+    "char_group": ("abelian_basis",),
+    "config": ("CONFIG_SCHEMA", "CONFIG_VERSION", "REPORT_VERSION", "load_config"),
+    "gauss": (
+        "DirichletChar",
+        "GaussianHeckeChar",
+        "GaussianModulus",
+        "HeckeGaussianModel",
+        "conjugate_char",
+        "dirichlet_via_norm",
+        "ideal_density",
+        "unit_trivial_characters",
+    ),
+    "gauss_sums": (
+        "PoleProbe",
+        "TripleEstimate",
+        "character_sum",
+        "classify_pole",
+        "ideal_count",
+        "numeric_triple_estimate",
+        "probe_pole",
+    ),
+    "group_oracle": (
+        "CharacterOfA",
+        "ClassFunction",
+        "FiniteGroupModel",
+        "OracleComparison",
+        "build_semidirect",
+        "characters_of_base",
+        "dual_sigma",
+        "induced_character",
+        "inner_product",
+        "oracle_agreement_sweep",
+        "oracle_compare",
+        "oracle_group",
+        "projection_formula_check",
+        "projection_formula_sweep",
+        "trivial_multiplicity",
+    ),
+    "sweep": (
+        "SweepBudget",
+        "SweepFamily",
+        "SweepReport",
+        "catalogue_cyclic",
+        "catalogue_rank2",
+        "find_witness",
+        "shipped_catalogue",
+        "sweep",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})
+
+
+class _Package(types.ModuleType):
+    """The package module.  The import system binds each submodule on its
+    package when it is first imported, which would hide the function
+    `sweep` behind the module `triplepole.sweep`; an exported name is never
+    rebound to a module."""
+
+    def __setattr__(self, name, value):
+        if name in _HOME and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

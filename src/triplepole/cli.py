@@ -2,7 +2,9 @@
 
 Every subcommand reads a JSON config file, runs one library entry point, and
 emits a versioned report (JSON by default, `--format text` for a terminal
-rendering) to stdout or `--output`.
+rendering) to stdout or `--output`.  Each handler imports the lane it runs
+(sweep, oracle, numerics) when it runs, so a `pole-order` or `factorize`
+request loads neither numpy nor any of those lanes.
 
 Exit codes:
     0  success (including marked reports: violated comparison precondition,
@@ -55,10 +57,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .gauss import HeckeGaussianModel
-from .gauss_sums import DEFAULT_TAU, numeric_triple_estimate
-from .group_oracle import oracle_compare
 from .models import AbelianModel, CuspidalLabelK, GenericRelationModel
-from .sweep import find_witness, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,6 +154,8 @@ def cmd_factorize(config: dict, args) -> tuple[dict, int]:
 
 
 def cmd_sweep(config: dict, args) -> tuple[dict, int]:
+    from .sweep import sweep
+
     family = build_family(config, "sweep")
     budget = build_budget(config, seed_override=args.seed)
     report = sweep(family, budget)
@@ -165,6 +166,8 @@ def cmd_sweep(config: dict, args) -> tuple[dict, int]:
 
 
 def cmd_witness(config: dict, args) -> tuple[dict, int]:
+    from .sweep import find_witness
+
     family = build_family(config, "witness")
     spec = config.get("witness", {})
     found = find_witness(
@@ -183,6 +186,8 @@ def cmd_witness(config: dict, args) -> tuple[dict, int]:
 
 
 def cmd_oracle_compare(config: dict, args) -> tuple[dict, int]:
+    from .group_oracle import oracle_compare
+
     model, labels = _triple(config, "oracle-compare")
     if not isinstance(model, AbelianModel):
         raise ConfigError("oracle-compare needs an abelian model")
@@ -196,6 +201,8 @@ def cmd_oracle_compare(config: dict, args) -> tuple[dict, int]:
 
 
 def cmd_hecke_estimate(config: dict, args) -> tuple[dict, int]:
+    from .gauss_sums import DEFAULT_TAU, numeric_triple_estimate
+
     model, labels = _triple(config, "hecke-estimate")
     if not isinstance(model, HeckeGaussianModel):
         raise ConfigError("hecke-estimate needs a gaussian model")

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ConfigError
 from .gauss import GaussianModulus, HeckeGaussianModel
@@ -22,7 +23,6 @@ from .models import (
     GenericAtom,
     GenericRelationModel,
 )
-from .sweep import SweepBudget, SweepFamily, shipped_catalogue
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -215,6 +215,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# Built once: `jsonschema.validate` would check the schema against its
+# metaschema on every call (tests/test_config.py checks it once).
+_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def load_config(path: str | Path) -> dict:
     """Read and schema-validate a JSON configuration file."""
     try:
@@ -230,11 +235,12 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(raw: dict) -> None:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(piece) for piece in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {path}: {exc.message}") from exc
+    """Raise ConfigError naming the schema violation `jsonschema.validate`
+    would report: the best match among all errors."""
+    error = best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(piece) for piece in error.absolute_path) or "<root>"
+        raise ConfigError(f"config schema violation at {path}: {error.message}") from error
 
 
 def require_section(config: dict, section: str, command: str) -> dict:
@@ -278,13 +284,32 @@ def build_model(spec: dict):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _abelian_label_of(model: AbelianModel, value) -> tuple[CuspidalLabelK, str]:
+# The label shape each model kind reads, as an exit-2 message names it.
+_LABEL_SHAPES = {
+    "abelian": 'a coordinate array or {"coords": [...]}',
+    "generic": '{"shift": t}',
+    "gaussian": 'a character index or {"index": i}',
+}
+
+
+def _label_shape(value) -> str:
+    """The model kind whose label shape a schema-valid label has."""
+    if isinstance(value, dict):
+        if "coords" in value:
+            return "abelian"
+        return "gaussian" if "index" in value else "generic"
+    return "abelian" if isinstance(value, list) else "gaussian"
+
+
+def _abelian_label_of(model: AbelianModel, role: str, value) -> tuple[CuspidalLabelK, str]:
     if isinstance(value, dict):
         return model.label(tuple(value["coords"])), value.get("behavior", "induced")
     return model.label(tuple(value)), "induced"
 
 
-def _gaussian_label_of(model: HeckeGaussianModel, value) -> tuple[CuspidalLabelK, str]:
+def _gaussian_label_of(
+    model: HeckeGaussianModel, role: str, value
+) -> tuple[CuspidalLabelK, str]:
     if isinstance(value, dict):
         index, behavior = value["index"], value.get("behavior", "induced")
     else:
@@ -298,42 +323,52 @@ def _gaussian_label_of(model: HeckeGaussianModel, value) -> tuple[CuspidalLabelK
     return model.character_label(index), behavior
 
 
+def _generic_label_of(
+    model: GenericRelationModel, role: str, value: dict
+) -> tuple[CuspidalLabelK, str]:
+    make = {
+        "theta1": model.theta1_label,
+        "theta2": model.theta2_label,
+        "chi": model.chi_label,
+    }[role]
+    return make(value.get("shift", 0)), "induced"
+
+
 def build_labels(model, spec: dict) -> dict:
     """Build the three labels of a triple from a labels section.
 
     Returns {"theta1": (label, behavior), "theta2": ..., "chi": label};
     `behavior` distinguishes data that base-change to the Galois orbit
-    ("induced") from data that stay cuspidal ("stays").
+    ("induced") from data that stay cuspidal ("stays").  The schema accepts
+    every kind's label shape in every role, so a label of another model
+    kind's shape is rejected here.
     """
-    out = {}
-    for role in ("theta1", "theta2"):
-        value = spec[role]
-        if isinstance(model, HeckeGaussianModel):  # before its base class
-            out[role] = _gaussian_label_of(model, value)
-        elif isinstance(model, AbelianModel):
-            out[role] = _abelian_label_of(model, value)
-        elif isinstance(model, GenericRelationModel):
-            shift = value.get("shift", 0) if isinstance(value, dict) else 0
-            label = (
-                model.theta1_label(shift) if role == "theta1" else model.theta2_label(shift)
-            )
-            out[role] = (label, "induced")
-        else:
-            raise ConfigError("unsupported model for label building")
-    chi_value = spec["chi"]
-    if isinstance(model, HeckeGaussianModel):
-        out["chi"] = _gaussian_label_of(model, chi_value)[0]
+    if isinstance(model, HeckeGaussianModel):  # before its base class
+        kind, label_of = "gaussian", _gaussian_label_of
     elif isinstance(model, AbelianModel):
-        out["chi"] = _abelian_label_of(model, chi_value)[0]
+        kind, label_of = "abelian", _abelian_label_of
+    elif isinstance(model, GenericRelationModel):
+        kind, label_of = "generic", _generic_label_of
     else:
-        shift = chi_value.get("shift", 0) if isinstance(chi_value, dict) else 0
-        out["chi"] = model.chi_label(shift)
+        raise ConfigError("unsupported model for label building")
+    out = {}
+    for role in ("theta1", "theta2", "chi"):
+        value = spec[role]
+        if _label_shape(value) != kind:
+            raise ConfigError(
+                f"label {role!r} does not fit a {kind} model: "
+                f"expected {_LABEL_SHAPES[kind]}"
+            )
+        out[role] = label_of(model, role, value)
+    out["chi"] = out["chi"][0]
     return out
 
 
-def build_family(config: dict, command: str) -> SweepFamily:
-    """A sweep family from either an explicit model list or catalogue
+def build_family(config: dict, command: str):
+    """A `SweepFamily` from either an explicit model list or catalogue
     parameters; exactly one of the two sections must be present."""
+    from .sweep import SweepFamily, shipped_catalogue
+
     has_family = "family" in config
     has_catalogue = "catalogue" in config
     if has_family == has_catalogue:
@@ -350,7 +385,10 @@ def build_family(config: dict, command: str) -> SweepFamily:
     )
 
 
-def build_budget(config: dict, seed_override: int | None = None) -> SweepBudget:
+def build_budget(config: dict, seed_override: int | None = None):
+    """The `SweepBudget` of the config's budget section."""
+    from .sweep import SweepBudget
+
     spec = dict(config.get("budget", {}))
     if seed_override is not None:
         spec["seed"] = seed_override

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .char_group import abelian_basis
 from .errors import PreconditionError, UnsupportedModulusError
 from .models import AbelianModel, CuspidalLabelK, CyclicData
@@ -150,10 +148,12 @@ class GaussianModulus:
         return abelian_basis(self.units, self.unit_mul, one)
 
     @cached_property
-    def unit_log_matrix(self) -> np.ndarray:
+    def unit_log_matrix(self):
         """Log coordinates of the units, in `units` order, each scaled by
-        L/t to a common exponent L: a character's value exponents are then
-        (unit_log_matrix @ exps) % L."""
+        L/t to a common exponent L, as an int64 numpy array: a character's
+        value exponents are then (unit_log_matrix @ exps) % L."""
+        import numpy as np  # only the numeric lane needs numpy
+
         _, orders, log = self.unit_structure
         L = self.unit_exponent
         rows = [[c * (L // t) for c, t in zip(log[u], orders)] for u in self.units]
@@ -405,9 +405,11 @@ class HeckeGaussianModel(AbelianModel):
             raise UnsupportedModulusError(
                 "the unit ideal has a trivial unit group and no Galois action"
             )
+        n = len(orders)
+        basis = [[int(i == j) for i in range(n)] for j in range(n)]
         columns = [
             conjugate_char(GaussianHeckeChar(modulus, unit, check=False)).exps
-            for unit in np.eye(len(orders), dtype=int).tolist()
+            for unit in basis
         ]
         super().__init__(factors=orders, sigma=tuple(zip(*columns)), cyclic=CyclicData(2))
         self.modulus = modulus

@@ -1,3 +1,4 @@
+import importlib
 import json
 import shutil
 import subprocess
@@ -84,6 +85,37 @@ def test_output_file(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # pole-order / factorize
+
+
+@pytest.mark.parametrize(
+    "model, labels, expected",
+    [
+        (
+            {"kind": "gaussian", "modulus": [7, 0]},
+            {"theta1": [1, 2], "theta2": 1, "chi": 10},
+            'expected a character index or {"index": i}',
+        ),
+        (
+            {"kind": "abelian", "factors": [7], "sigma": [[2]], "p": 3},
+            {"theta1": {"shift": 1}, "theta2": [3], "chi": [0]},
+            'expected a coordinate array or {"coords": [...]}',
+        ),
+        (
+            {"kind": "abelian", "factors": [7], "sigma": [[2]], "p": 3},
+            {"theta1": 5, "theta2": [3], "chi": [0]},
+            'expected a coordinate array or {"coords": [...]}',
+        ),
+    ],
+)
+def test_label_of_another_model_kind_exits_2(tmp_path, capsys, model, labels, expected):
+    # The schema accepts every kind's label shape in every role.
+    config = write_config(tmp_path, {"version": 1, "model": model, "labels": labels})
+    code, report = run_json(capsys, "pole-order", "--config", config)
+    assert code == 2
+    assert report["error"]["type"] == "ConfigError"
+    assert report["error"]["message"] == (
+        f"label 'theta1' does not fit a {model['kind']} model: {expected}"
+    )
 
 
 def test_pole_order_sharp_triple(capsys):
@@ -230,10 +262,12 @@ def test_sweep_seed_flag_overrides_config(tmp_path, capsys):
 
 def test_sweep_violations_exit_code(monkeypatch, tmp_path, capsys):
     # The calculus never produces a violation, so force one through the
-    # report to pin the exit-code contract.
-    import triplepole.cli as cli_module
+    # report to pin the exit-code contract.  The handler imports `sweep`
+    # when it runs; the package exports the function under the module's
+    # name, so the module is fetched with import_module.
+    sweep_module = importlib.import_module("triplepole.sweep")
 
-    real_sweep = cli_module.sweep
+    real_sweep = sweep_module.sweep
 
     def tainted(family, budget):
         report = real_sweep(family, budget)
@@ -242,7 +276,7 @@ def test_sweep_violations_exit_code(monkeypatch, tmp_path, capsys):
         )
         return report
 
-    monkeypatch.setattr(cli_module, "sweep", tainted)
+    monkeypatch.setattr(sweep_module, "sweep", tainted)
     config = write_config(
         tmp_path,
         {"version": 1, "catalogue": {"p_values": [2], "max_group_order": 5}},
@@ -323,16 +357,16 @@ def test_oracle_compare_invariant_inducer_marked(tmp_path, capsys):
 
 
 def test_oracle_compare_disagreement_exit_code(monkeypatch, capsys):
-    import triplepole.cli as cli_module
+    import triplepole.group_oracle as group_oracle
 
-    real_compare = cli_module.oracle_compare
+    real_compare = group_oracle.oracle_compare
 
     def tainted(model, theta1, theta2, chi):
         comparison = real_compare(model, theta1, theta2, chi)
         object.__setattr__(comparison, "equal", False)
         return comparison
 
-    monkeypatch.setattr(cli_module, "oracle_compare", tainted)
+    monkeypatch.setattr(group_oracle, "oracle_compare", tainted)
     code, report = run_json(
         capsys, "oracle-compare", "--config", str(CONFIGS / "abelian_z7.json")
     )
@@ -393,16 +427,16 @@ def test_hecke_estimate_indeterminate_exit(tmp_path, capsys):
 
 
 def test_hecke_estimate_disagreement_exit_code(monkeypatch, tmp_path, capsys):
-    import triplepole.cli as cli_module
+    import triplepole.gauss_sums as gauss_sums
 
-    real_estimate = cli_module.numeric_triple_estimate
+    real_estimate = gauss_sums.numeric_triple_estimate
 
     def tainted(*args, **kwargs):
         estimate = real_estimate(*args, **kwargs)
         object.__setattr__(estimate, "agree", False)
         return estimate
 
-    monkeypatch.setattr(cli_module, "numeric_triple_estimate", tainted)
+    monkeypatch.setattr(gauss_sums, "numeric_triple_estimate", tainted)
     config = gaussian_config(tmp_path, X=5000)
     code, report = run_json(capsys, "hecke-estimate", "--config", config)
     assert code == 4

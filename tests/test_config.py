@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from jsonschema.validators import validator_for
 
 from triplepole import AbelianModel, ConfigError, GenericRelationModel
 from triplepole.config import (
@@ -97,6 +98,61 @@ def test_require_section():
         require_section(config, "labels", "pole-order")
 
 
+# The exit-2 messages of the schema check, recorded from the version that
+# called `jsonschema.validate`; validating with a prebuilt validator must
+# reproduce them byte for byte.
+PINNED_SCHEMA_MESSAGES = [
+    ({"version": 99}, "version: 1 was expected"),
+    (
+        {"version": 1, "noise": 1},
+        "<root>: Additional properties are not allowed ('noise' was unexpected)",
+    ),
+    (
+        {"version": 1, "model": z7_spec(), "labels": {}},
+        "labels: 'theta1' is a required property",
+    ),
+    (
+        {"version": 1, "model": z7_spec(), "labels": {"theta1": "x", "theta2": [3], "chi": [1]}},
+        "labels/theta1: 'x' is not valid under any of the given schemas",
+    ),
+    (
+        {"version": 1, "model": dict(z7_spec(), factors=[7, 1])},
+        "model/factors/1: 1 is less than the minimum of 2",
+    ),
+    (
+        {"version": 1, "family": {"models": [gaussian_spec()]}},
+        "family/models/0: Additional properties are not allowed ('modulus' was unexpected)",
+    ),
+    (
+        {"version": 1, "model": gaussian_spec(), "estimate": {"X": 10, "tau": 1.5}},
+        "estimate/tau: 1.5 is greater than or equal to the maximum of 1",
+    ),
+    ([1, 2, 3], "<root>: [1, 2, 3] is not of type 'object'"),
+]
+
+
+@pytest.mark.parametrize("raw, message", PINNED_SCHEMA_MESSAGES)
+def test_schema_messages_pinned(raw, message):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert str(exc.value) == f"config schema violation at {message}"
+
+
+def test_truncated_json_message_pinned(tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"version": 1, "model": {"kind"')
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == (
+        f"config file {path} is not valid JSON: "
+        "Expecting ':' delimiter: line 1 column 32 (char 31)"
+    )
+
+
+def test_schema_is_valid_under_its_metaschema():
+    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
 # ---------------------------------------------------------------------------
 # Builders
 
@@ -186,6 +242,20 @@ def test_build_labels_gaussian_index_out_of_range():
     model = build_model(gaussian_spec())
     with pytest.raises(ConfigError, match="out of range"):
         build_labels(model, {"theta1": 99, "theta2": 1, "chi": 0})
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        {"theta1": [1], "theta2": {}, "chi": {}},
+        {"theta1": {}, "theta2": {"shift": 1}, "chi": 3},
+    ],
+)
+def test_build_labels_generic_rejects_another_kinds_shape(labels):
+    # The CLI tests cover abelian and gaussian models.
+    spec = json.loads((REPO / "configs" / "generic_mismatch.json").read_text())
+    with pytest.raises(ConfigError, match='a generic model: expected {"shift": t}'):
+        build_labels(build_model(spec["model"]), labels)
 
 
 def test_build_family_explicit_models():

@@ -1,0 +1,130 @@
+"""The import contract, checked in fresh interpreters: a single-triple CLI
+request loads no lane it does not run, and every public name of the
+package resolves to the object its module defines, whatever was imported
+first."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
+
+# What `pole-order` and `factorize` never need.
+LANES = {"numpy", "triplepole.sweep", "triplepole.group_oracle", "triplepole.gauss_sums"}
+
+
+def imported_modules(*argv) -> tuple[int, set[str]]:
+    """Exit code and imported modules of a fresh `python -m triplepole`."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "triplepole", *argv],
+        capture_output=True,
+        text=True,
+    )
+    modules = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, modules
+
+
+@pytest.mark.parametrize("command", ["pole-order", "factorize"])
+@pytest.mark.parametrize(
+    "config", ["abelian_z7", "abelian_z3sq", "basechange_z7", "generic_mismatch"]
+)
+def test_single_triple_request_loads_no_lane(command, config):
+    code, modules = imported_modules(command, "--config", str(CONFIGS / f"{config}.json"))
+    assert code == 0
+    assert "triplepole.cli" in modules
+    assert modules & LANES == set()
+
+
+def test_rejected_config_loads_no_lane(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"version": 2}))
+    code, modules = imported_modules("pole-order", "--config", str(path))
+    assert code == 2
+    assert modules & LANES == set()
+
+
+# The names `triplepole` exported when its `__init__` imported every lane.
+EXPORTS = {
+    "calculus": [
+        "CuspidalDatumF", "InducedFrom", "IsobaricRep", "MatchingMatrix", "RSFactor",
+        "StaysCuspidal", "automorphic_induction", "base_change", "dual", "factorize",
+        "galois_shift", "is_isomorphic", "matching_matrix", "rs_pole_order",
+        "triple_pole_order", "twist",
+    ],
+    "cyclotomic": ["CyclotomicInt", "cyclotomic_polynomial"],
+    "errors": [
+        "ConfigError", "IndeterminatePoleError", "InvariantViolationError",
+        "ModelMismatchError", "NotAnIntegerError", "PreconditionError",
+        "RelationValidationError", "TriplePoleError", "UnsupportedModulusError",
+        "UnsupportedOperationError",
+    ],
+    "models": [
+        "AbelianModel", "CuspidalLabelK", "CyclicData", "GenericAtom",
+        "GenericRelationModel", "RelationDiagnostic", "validate_relations",
+    ],
+    "char_group": ["abelian_basis"],
+    "config": ["CONFIG_SCHEMA", "CONFIG_VERSION", "REPORT_VERSION", "load_config"],
+    "gauss": [
+        "DirichletChar", "GaussianHeckeChar", "GaussianModulus", "HeckeGaussianModel",
+        "conjugate_char", "dirichlet_via_norm", "ideal_density", "unit_trivial_characters",
+    ],
+    "gauss_sums": [
+        "PoleProbe", "TripleEstimate", "character_sum", "classify_pole", "ideal_count",
+        "numeric_triple_estimate", "probe_pole",
+    ],
+    "group_oracle": [
+        "CharacterOfA", "ClassFunction", "FiniteGroupModel", "OracleComparison",
+        "build_semidirect", "characters_of_base", "dual_sigma", "induced_character",
+        "inner_product", "oracle_agreement_sweep", "oracle_compare", "oracle_group",
+        "projection_formula_check", "projection_formula_sweep", "trivial_multiplicity",
+    ],
+    "sweep": [
+        "SweepBudget", "SweepFamily", "SweepReport", "catalogue_cyclic", "catalogue_rank2",
+        "find_witness", "shipped_catalogue", "sweep",
+    ],
+}
+
+# Prints the exported names that do not resolve to their module's object.
+RESOLVE = """\
+import importlib, json, sys
+exports, first = json.loads(sys.argv[1]), sys.argv[2]
+if first == "submodule":
+    import triplepole.sweep
+import triplepole
+wrong = []
+for module, names in exports.items():
+    home = importlib.import_module("triplepole." + module)
+    for name in names:
+        scope = {}
+        exec(f"from triplepole import {name}", scope)
+        if scope[name] is not getattr(home, name):
+            wrong.append(name)
+if triplepole.sweep is not importlib.import_module("triplepole.sweep").sweep:
+    wrong.append("triplepole.sweep")
+print(json.dumps(wrong))
+"""
+
+
+@pytest.mark.parametrize("first", ["package", "submodule"])
+def test_exports_resolve_to_their_definitions(first):
+    proc = subprocess.run(
+        [sys.executable, "-c", RESOLVE, json.dumps(EXPORTS), first],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_package_lists_exactly_the_exports():
+    import triplepole
+
+    assert sorted(triplepole.__all__) == sorted(n for names in EXPORTS.values() for n in names)
