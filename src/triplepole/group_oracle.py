@@ -328,15 +328,30 @@ def projection_formula_sweep(group: FiniteGroupModel) -> dict:
     The identity for (v, w) is the same statement as for (v o sigma, w),
     since Ind lambda_v depends only on the sigma-orbit of lambda_v, and as
     for (v, w o sigma), since Res V is sigma-stable and Ind(W o sigma) =
-    Ind W.  So one statement is checked per pair of orbits: `statements`
+    Ind W.  So one statement is proved per pair of orbits: `statements`
     counts them and `checked` counts the base_order**2 pairs they cover.
-    Both sides are monomial sums; the sweep compares their sorted exponent
-    multisets, which is a sufficient condition for equality in the
-    cyclotomic ring.  A representative pair failing the multiset test is
-    re-verified by the exact value-by-value check before being reported as
-    a failure, and a listed failure stands for its whole orbit pair.
+
+    Off the base both sides vanish.  At a base element a both are monomial
+    sums with exponents E[lam, b] of lam at b:
+
+        Ind(Res V * W)(a) = sum_{s,t} lambda_v(sigma^s sigma^t a) lambda_w(sigma^t a)
+        V(a) * Ind W(a)   = sum_{s,t} lambda_v(sigma^s a) lambda_w(sigma^t a)
+
+    so the left side's exponent multiset is the union over t of
+    {E[v, sigma^s sigma^t a]}_s + E[w, sigma^t a], and the right side's the
+    union over t of {E[v, sigma^s a]}_s + E[w, sigma^t a].  If for every t
+    and a the multiset over s of E[v, sigma^s sigma^t a] equals that of
+    E[v, sigma^s a], the two unions agree term by term whatever w is, and
+    equal exponent multisets give equal values in the cyclotomic ring.  The
+    sweep tests this sigma-stability once per representative v, for all
+    representatives in one step.  Since sigma_index holds the powers of an
+    automorphism whose order divides p, sigma^s sigma^t runs over the same
+    p powers as sigma^s, so every group the constructors build passes it.
+    A representative that fails it (only a hand-edited sigma_index can)
+    has each of its statements decided by the exact value-by-value check;
+    a listed failure stands for its whole orbit pair.
     """
-    nbase, p, n = group.base_order, group.p, group.nexp
+    nbase, n = group.base_order, group.nexp
     coords = np.array(group.base_elements(), dtype=np.int64)
     weights = np.array([n // d for d in group.factors], dtype=np.int64)
     # E[lam, a]: exponent of character lam at base element a
@@ -345,22 +360,18 @@ def projection_formula_sweep(group: FiniteGroupModel) -> dict:
     sig2 = sig[:, sig]  # sig2[s, t, a] = sigma^s(sigma^t(a))
     reps = np.unique(_orbit_reps(group))
     nrep = len(reps)
-    w_part = E[reps][:, sig]  # (w, t, nbase)
+    E_sig = E[reps][:, sig]  # (rep, s, a): E[rep, sigma^s a]
+    E_sig2 = E[reps][:, sig2]  # (rep, s, t, a): E[rep, sigma^s sigma^t a]
+    stable = np.all(
+        np.sort(E_sig2, axis=1) == np.sort(E_sig, axis=1)[:, :, None, :], axis=(1, 2, 3)
+    )
     failures = []
-    chars = None
-    for v_idx in reps.tolist():
-        # LHS at a: exponents E[v, sigma^s sigma^t a] + E[w, sigma^t a]
-        lhs_v = E[v_idx][sig2]  # (p, p, nbase)
-        rhs_v = E[v_idx][sig]  # (s, nbase)
-        lhs = (lhs_v[None, :, :, :] + w_part[:, None, :, :]) % n
-        rhs = (rhs_v[None, :, None, :] + w_part[:, None, :, :]) % n
-        lhs_sorted = np.sort(lhs.reshape(nrep, p * p, nbase), axis=1)
-        rhs_sorted = np.sort(rhs.reshape(nrep, p * p, nbase), axis=1)
-        agree = np.all(lhs_sorted == rhs_sorted, axis=(1, 2))
-        for w_idx in reps[~agree].tolist():
-            if chars is None:
-                chars = characters_of_base(group)
-            V = induced_character(chars[v_idx], group)
+    unstable = reps[~stable].tolist()
+    if unstable:
+        chars = characters_of_base(group)
+    for v_idx in unstable:
+        V = induced_character(chars[v_idx], group)
+        for w_idx in reps.tolist():
             if not projection_formula_check(V, chars[w_idx], group):
                 failures.append({"v": v_idx, "w": w_idx})
     return {"checked": nbase * nbase, "statements": nrep * nrep, "failures": failures}
@@ -466,14 +477,18 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     The multiplicity of (theta1, theta2, chi) is that of the tensor product
     of the three induced characters, and Ind lambda depends only on the
     sigma-orbit of lambda; so it equals the multiplicity of (sigma^a theta1,
-    sigma^b theta2, sigma^c chi) for every a, b, c.  It is therefore
-    computed once for each pair of non-invariant orbit representatives and
-    each representative chi (`oracle_sums` counts the pairs), by the full
-    summation trivial_multiplicity performs: monomial exponents are
-    accumulated into count vectors, reduced by the exact cyclotomic
-    remainder matrix, certified integer, and divided by |G|.  Every triple
-    is then compared with the kernel's pole order through its
-    representatives, in (theta1, theta2, chi) index order.
+    sigma^b theta2, sigma^c chi) for every a, b, c.  It is also symmetric in
+    theta1 and theta2: the sum (1/|G|) sum_a prod_i sum_t lambda_i(sigma^t a)
+    is, and so is the multiset of its monomial exponents, which is all the
+    count vector records.  It is therefore computed once for each unordered
+    pair of non-invariant orbit representatives and each representative chi
+    (`oracle_sums` counts the pairs: k(k+1)/2 for k representatives), and
+    written to both cells of the table.  Each sum is the full summation
+    trivial_multiplicity performs: monomial exponents are accumulated into
+    count vectors, reduced by the exact cyclotomic remainder matrix,
+    certified integer, and divided by |G|.  Every triple is then compared
+    with the kernel's pole order through its representatives, in
+    (theta1, theta2, chi) index order.
     """
     G = oracle_group(model)
     p, n, nbase = G.p, G.nexp, G.base_order
@@ -497,10 +512,13 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     # exponent sums of three characters lie in [0, 3n - 3]: one bincount
     # row of 3n bins per chi, folded mod n afterwards
     E_chi = E[chis] + (np.arange(len(chis)) * 3 * n)[:, None, None]
-    # M[x, y, c]: multiplicity of (inducers[x], inducers[y], chis[c])
-    M = np.empty((len(inducers), len(inducers), len(chis)), dtype=np.int64)
+    # M[x, y, c]: multiplicity of (inducers[x], inducers[y], chis[c]),
+    # symmetric in x and y
+    k = len(inducers)
+    M = np.empty((k, k, len(chis)), dtype=np.int64)
     for x, i1 in enumerate(inducers):
-        for y, i2 in enumerate(inducers):
+        for y in range(x, k):
+            i2 = inducers[y]
             d12 = (E[i1][:, None, :] + E[i2][None, :, :]).reshape(p * p, nbase)
             # combined[c, t1t2, t3, b]: exponent sums for every chi at once,
             # offset into the bins of chi c
@@ -514,6 +532,7 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
             if np.any(sums % G.order):
                 raise InvariantViolationError("oracle sum is not divisible by |G|")
             M[x, y] = sums // G.order
+            M[y, x] = M[x, y]
 
     mismatches = []
     triples = 0
@@ -535,7 +554,7 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
         "model": model.describe(),
         "group_order": G.order,
         "triples": triples,
-        "oracle_sums": len(inducers) ** 2,
+        "oracle_sums": k * (k + 1) // 2,
         "mismatches": mismatches,
         "pairing": PAIRING_NOTE,
     }

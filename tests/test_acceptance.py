@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import triplepole.group_oracle as group_oracle
 from triplepole import (
     AbelianModel,
     CuspidalDatumF,
@@ -114,7 +115,17 @@ def test_criterion_3_oracle_agreement_full_catalogue(catalogue_sweep):
     )
 
 
-def test_criterion_4_projection_formula_catalogue_groups():
+def test_criterion_4_projection_formula_catalogue_groups(monkeypatch):
+    # every catalogue group passes the sweep's sigma-stability test, so no
+    # statement may fall back to the exact value-by-value check
+    exact_checks = []
+    real_check = group_oracle.projection_formula_check
+
+    def spy(V, W, group):
+        exact_checks.append(W.exponents)
+        return real_check(V, W, group)
+
+    monkeypatch.setattr(group_oracle, "projection_formula_check", spy)
     family = shipped_catalogue()
     start = time.monotonic()
     checked = statements = 0
@@ -130,6 +141,7 @@ def test_criterion_4_projection_formula_catalogue_groups():
         checked += rep["checked"]
         statements += rep["statements"]
     elapsed = time.monotonic() - start
+    assert exact_checks == []
     assert elapsed <= 60.0
     report(
         4,

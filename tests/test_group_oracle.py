@@ -318,6 +318,26 @@ def test_projection_formula_sweep_mixed_factors():
     assert r["failures"] == []
 
 
+def test_projection_sweep_falls_back_to_exact_check(monkeypatch):
+    # swapping two images of sigma in the index table (not in the group
+    # itself) breaks the stability test; the statements of the failing
+    # representatives go to the exact check, which holds on the true group
+    exact_checks = []
+    real_check = group_oracle.projection_formula_check
+
+    def spy(V, W, group):
+        exact_checks.append(W.exponents)
+        return real_check(V, W, group)
+
+    monkeypatch.setattr(group_oracle, "projection_formula_check", spy)
+    G = build_semidirect((7,), ((2,),), 3)
+    row = G.sigma_index[1]
+    row[1], row[2] = row[2], row[1]
+    rep = projection_formula_sweep(G)
+    assert rep == {"checked": 49, "statements": 9, "failures": []}
+    assert exact_checks
+
+
 def test_projection_formula_detects_corruption(dihedral6):
     # the identity holds for every class function, so only a non-class
     # function can break it: corrupt one base value of an induced character
@@ -371,6 +391,8 @@ def test_multiplicity_is_constant_on_sigma_orbits(name):
         for triple in itertools.product(range(len(chars)), repeat=3)
     }
     for (i1, i2, i3), value in mult.items():
+        # the agreement sweep fills its table once per unordered pair
+        assert mult[i2, i1, i3] == value
         for a, b, c in itertools.product(range(G.p), repeat=3):
             assert mult[powers[a][i1], powers[b][i2], powers[c][i3]] == value
 
@@ -381,10 +403,12 @@ def test_multiplicity_is_constant_on_sigma_orbits(name):
 @pytest.mark.parametrize(
     "model, oracle_sums",
     [
-        (AbelianModel(factors=(7,), sigma=((2,),), cyclic=CyclicData(3)), 4),
-        (MIXED_MODEL, 4),
-        # 60 non-invariant labels, 3600 pairs over several kernel blocks
-        (AbelianModel(factors=(63,), sigma=((4,),), cyclic=CyclicData(3)), 400),
+        # oracle_sums: k(k + 1)/2 unordered pairs of k inducing representatives
+        (AbelianModel(factors=(7,), sigma=((2,),), cyclic=CyclicData(3)), 3),
+        (MIXED_MODEL, 3),
+        # 60 non-invariant labels in 20 orbits, 3600 pairs over several
+        # kernel blocks
+        (AbelianModel(factors=(63,), sigma=((4,),), cyclic=CyclicData(3)), 210),
     ],
     ids=["Z7p3", "Z2xZ4p2", "Z63p3"],
 )
