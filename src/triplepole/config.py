@@ -11,10 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
-
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolationError
 from .gauss import GaussianModulus, HeckeGaussianModel
 from .models import (
     AbelianModel,
@@ -215,9 +212,64 @@ CONFIG_SCHEMA = {
 }
 
 
-# Built once: `jsonschema.validate` would check the schema against its
-# metaschema on every call (tests/test_config.py checks it once).
-_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_JSON_TYPES = {"null": type(None), "boolean": bool, "string": str, "array": list, "object": dict}
+
+
+def _is_type(value, name: str) -> bool:
+    """Whether a JSON value has the draft 2020-12 type `name`: a bool is
+    only a boolean, and an integral float is an integer."""
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if name == "number":
+        return isinstance(value, (int, float))
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _equal(a, b) -> bool:
+    """JSON equality, as `const` and `enum` compare: 1.0 equals 1, but a
+    bool equals only itself, also inside arrays and objects."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+# Each keyword `CONFIG_SCHEMA` uses, as a test of (value, argument, the
+# schema holding it).  A keyword missing here raises KeyError rather than
+# pass unchecked.  Size and range keywords hold for values of other types.
+_KEYWORDS = {
+    "$schema": lambda v, a, s: True,
+    "type": lambda v, a, s: any(_is_type(v, t) for t in ([a] if isinstance(a, str) else a)),
+    "const": lambda v, a, s: _equal(v, a),
+    "enum": lambda v, a, s: any(_equal(v, e) for e in a),
+    "oneOf": lambda v, a, s: sum(_conforms(v, branch) for branch in a) == 1,
+    "items": lambda v, a, s: not isinstance(v, list) or all(_conforms(x, a) for x in v),
+    "minItems": lambda v, a, s: not isinstance(v, list) or len(v) >= a,
+    "maxItems": lambda v, a, s: not isinstance(v, list) or len(v) <= a,
+    "minLength": lambda v, a, s: not isinstance(v, str) or len(v) >= a,
+    "required": lambda v, a, s: not isinstance(v, dict) or all(k in v for k in a),
+    "properties": lambda v, a, s: not isinstance(v, dict)
+    or all(_conforms(v[k], sub) for k, sub in a.items() if k in v),
+    "additionalProperties": lambda v, a, s: not isinstance(v, dict)
+    or all(_conforms(v[k], a) for k in v if k not in s.get("properties", {})),
+    "minimum": lambda v, a, s: not _is_type(v, "number") or not v < a,
+    "exclusiveMinimum": lambda v, a, s: not _is_type(v, "number") or not v <= a,
+    "exclusiveMaximum": lambda v, a, s: not _is_type(v, "number") or not v >= a,
+}
+
+
+def _conforms(value, schema) -> bool:
+    """Whether the JSON value `value` is valid under `schema`, with the
+    draft 2020-12 meaning of every keyword `CONFIG_SCHEMA` uses.  This is
+    the whole accept decision; jsonschema only words a rejection."""
+    if isinstance(schema, bool):
+        return schema
+    return all(_KEYWORDS[keyword](value, arg, schema) for keyword, arg in schema.items())
 
 
 def load_config(path: str | Path) -> dict:
@@ -235,12 +287,24 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(raw: dict) -> None:
-    """Raise ConfigError naming the schema violation `jsonschema.validate`
-    would report: the best match among all errors."""
-    error = best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        path = "/".join(str(piece) for piece in error.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {path}: {error.message}") from error
+    """Accept `raw` if it conforms to `CONFIG_SCHEMA`, else raise
+    ConfigError.
+
+    `_conforms` decides, so an accepted config never imports jsonschema.
+    A rejected one does: the message names jsonschema's best match among
+    all errors, as `jsonschema.validate` reports it.  A config that
+    `_conforms` rejects but jsonschema accepts is a bug in `_conforms`.
+    """
+    if _conforms(raw, CONFIG_SCHEMA):
+        return
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
+
+    error = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
+    if error is None:
+        raise InvariantViolationError("config checker rejected a config jsonschema accepts")
+    path = "/".join(str(piece) for piece in error.absolute_path) or "<root>"
+    raise ConfigError(f"config schema violation at {path}: {error.message}") from error
 
 
 def require_section(config: dict, section: str, command: str) -> dict:

@@ -32,6 +32,8 @@ DEFAULT_TAU = 0.05
 
 _counts_cache: dict = {}
 _COUNTS_CACHE_LIMIT = 8
+# Ceiling on the arrays one band count builds (docs/formats.md, "Exit codes").
+BAND_COUNTS_MAX_BYTES = 1 << 30
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -40,6 +42,22 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     s -= s * s > n
     s += (s + 1) * (s + 1) <= n
     return s
+
+
+def _count_layout(modulus: GaussianModulus, X: int) -> tuple[int, int]:
+    """(P, rows) of a band count: the residue period of imaginary parts and
+    the real parts a = 0 .. rows - 1 it folds, in whole classes mod x_span."""
+    span = modulus.x_span
+    period = modulus.g * span // math.gcd(modulus.v[0], span)
+    return period, (isqrt(X) // span + 1) * span
+
+
+def band_counts_bytes(modulus: GaussianModulus, X: int) -> int:
+    """Bytes of the int64 arrays `below` (rows x P) and `cumulative`
+    ((BANDS + 1) x x_span x P) that counting (modulus, X) builds.  The peak
+    is higher: each band boundary adds temporaries of up to that size."""
+    period, rows = _count_layout(modulus, X)
+    return 8 * period * (rows + (BANDS + 1) * modulus.x_span)
 
 
 def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
@@ -54,15 +72,21 @@ def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
     ceil(kX / BANDS), folding a by its class mod x_span and differencing
     over k gives exact integer counts per (band, a class, r) in
     O(sqrt(X) * BANDS * P); unit (x, y) collects the P / g classes
-    (x + j*v0 mod x_span, y + j*g).
+    (x + j*v0 mod x_span, y + j*g).  Raises PreconditionError, before any
+    array is built, when `band_counts_bytes` exceeds BAND_COUNTS_MAX_BYTES.
     """
     key = (modulus.generator, X)
     cached = _counts_cache.get(key)
     if cached is not None:
         return cached
+    need = band_counts_bytes(modulus, X)
+    if need > BAND_COUNTS_MAX_BYTES:
+        raise PreconditionError(
+            f"counting ideals of norm <= {X} for modulus {modulus.generator} needs "
+            f"about {need} bytes, over the ceiling of {BAND_COUNTS_MAX_BYTES} bytes"
+        )
     g, span, v0 = modulus.g, modulus.x_span, modulus.v[0]
-    period = g * span // math.gcd(v0, span)
-    rows = (isqrt(X) // span + 1) * span  # a = 0 .. rows - 1, whole classes
+    period, rows = _count_layout(modulus, X)
     r = np.arange(period, dtype=np.int64)
     # b-counts per (a, r) up to the current boundary; a boundary only grows,
     # so rows past its isqrt stay zero, and row a = 0 is never written

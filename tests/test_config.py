@@ -1,13 +1,19 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from triplepole import AbelianModel, ConfigError, GenericRelationModel
 from triplepole.config import (
     CONFIG_SCHEMA,
     CONFIG_VERSION,
+    _KEYWORDS,
+    _conforms,
     build_budget,
     build_family,
     build_labels,
@@ -99,8 +105,9 @@ def test_require_section():
 
 
 # The exit-2 messages of the schema check, recorded from the version that
-# called `jsonschema.validate`; validating with a prebuilt validator must
-# reproduce them byte for byte.
+# called `jsonschema.validate`.  `_conforms` decides that a config is
+# rejected; jsonschema's best match still words every message, which must
+# stay byte for byte the same.
 PINNED_SCHEMA_MESSAGES = [
     ({"version": 99}, "version: 1 was expected"),
     (
@@ -151,6 +158,156 @@ def test_truncated_json_message_pinned(tmp_path):
 
 def test_schema_is_valid_under_its_metaschema():
     validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# The in-package checker against jsonschema
+
+VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+SHIPPED = [json.loads(path.read_text()) for path in CONFIGS]
+
+
+def _schemas(schema):
+    """`schema` and every subschema in it."""
+    yield schema
+    for keyword, arg in schema.items():
+        if keyword == "properties":
+            subs = arg.values()
+        elif keyword == "oneOf":
+            subs = arg
+        elif keyword in ("items", "additionalProperties") and isinstance(arg, dict):
+            subs = [arg]
+        else:
+            continue
+        for sub in subs:
+            yield from _schemas(sub)
+
+
+def _values(value):
+    """`value` and every value nested in it."""
+    yield value
+    if isinstance(value, (dict, list)):
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _values(child)
+
+
+def test_checker_knows_every_schema_keyword():
+    used = {keyword for schema in _schemas(CONFIG_SCHEMA) for keyword in schema}
+    assert used <= _KEYWORDS.keys()
+
+
+def _edited(raw, path, value):
+    """A deep copy of `raw` with the value at `path` set."""
+    out = copy.deepcopy(raw)
+    *parents, last = path
+    target = out
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return out
+
+
+Z7 = {"version": 1, "model": z7_spec(), "labels": {"theta1": [1], "theta2": [3], "chi": [0]}}
+GAUSS = {
+    "version": 1,
+    "model": gaussian_spec(),
+    "labels": {"theta1": 1, "theta2": 1, "chi": 10},
+    "estimate": {"X": 10**6, "tau": 0.05},
+}
+GENERIC, SWEEP, WITNESS = (
+    json.loads((REPO / "configs" / name).read_text())
+    for name in ("generic_mismatch.json", "sweep_small.json", "witness_z7.json")
+)
+# One label of each kind's shape, plus values of no kind's shape.
+LABELS = [
+    ([1], True), ([], True), ({"coords": [1], "behavior": "stays"}, True),
+    ({"shift": 1}, True), ({}, True), (0, True), ({"index": 2, "behavior": "induced"}, True),
+    (1.0, True), (True, False), (-1, False), ("x", False), ({"shift": 1.5}, False),
+    ({"coords": [1], "index": 0}, False), ({"index": -1}, False), ({"coords": [1], "behavior": 1}, False),
+]
+EDGE_CASES = [
+    pytest.param(_edited(Z7, ["version"], True), False, id="version-true"),
+    pytest.param(_edited(Z7, ["version"], 1.0), True, id="version-1.0"),
+    pytest.param(_edited(Z7, ["model", "p"], 3.0), True, id="p-3.0"),
+    pytest.param(_edited(Z7, ["model", "p"], True), False, id="p-true"),
+    pytest.param(_edited(Z7, ["model", "factors"], [7.0]), True, id="factor-7.0"),
+    pytest.param(_edited(Z7, ["model", "factors"], [True]), False, id="factor-true"),
+    pytest.param(_edited(Z7, ["model", "sigma"], [[1.0]]), True, id="sigma-1.0"),
+    pytest.param(_edited(Z7, ["model", "sigma"], [[False]]), False, id="sigma-false"),
+    pytest.param(_edited(GAUSS, ["model", "modulus"], [7.0, 0]), True, id="modulus-7.0"),
+    pytest.param(_edited(GAUSS, ["estimate", "X"], 1.0), True, id="X-1.0"),
+    pytest.param(_edited(GAUSS, ["estimate", "X"], True), False, id="X-true"),
+    pytest.param(_edited(GAUSS, ["estimate", "X"], 0.5), False, id="X-0.5"),
+    pytest.param(_edited(SWEEP, ["budget", "samples"], 1.0), True, id="samples-1.0"),
+    pytest.param(_edited(SWEEP, ["budget", "samples"], True), False, id="samples-true"),
+    pytest.param(_edited(SWEEP, ["catalogue", "max_group_order"], True), False, id="order-true"),
+    pytest.param(_edited(GENERIC, ["model", "atoms", 0, "degree"], True), False, id="degree-true"),
+    # NaN compares false with every bound, so jsonschema accepts it; the
+    # numeric lane's own precondition rejects it later.
+    pytest.param(_edited(GAUSS, ["estimate", "tau"], math.nan), True, id="tau-nan"),
+    pytest.param(_edited(GAUSS, ["estimate", "tau"], math.inf), False, id="tau-inf"),
+    pytest.param(_edited(GAUSS, ["estimate", "tau"], -math.inf), False, id="tau-neg-inf"),
+    pytest.param(_edited(GAUSS, ["estimate", "tau"], 0), False, id="tau-0"),
+    pytest.param(_edited(GAUSS, ["estimate", "tau"], 1), False, id="tau-1"),
+    pytest.param(_edited(GAUSS, ["estimate", "tau"], True), False, id="tau-true"),
+    pytest.param(_edited(SWEEP, ["budget", "limit"], None), True, id="limit-null"),
+    pytest.param(_edited(SWEEP, ["budget", "limit"], 1.0), True, id="limit-1.0"),
+    pytest.param(_edited(SWEEP, ["budget", "limit"], -1), False, id="limit-negative"),
+    pytest.param(_edited(SWEEP, ["budget", "limit"], False), False, id="limit-false"),
+    pytest.param(_edited(WITNESS, ["witness", "target_ell"], None), True, id="target-ell-null"),
+    pytest.param(_edited(WITNESS, ["witness", "target_ell"], "3"), False, id="target-ell-string"),
+    pytest.param(_edited(GENERIC, ["model", "atoms", 0, "id"], ""), False, id="atom-id-empty"),
+    pytest.param(_edited(GENERIC, ["model", "theta1_id"], ""), True, id="theta1-id-empty"),
+    pytest.param(_edited(Z7, ["model", "kind"], "generic"), False, id="kind-generic"),
+    pytest.param(_edited(Z7, ["labels", "behavior"], "stays"), False, id="labels-extra"),
+] + [
+    pytest.param(_edited(Z7, ["labels", role], label), valid, id=f"{role}-{json.dumps(label)}")
+    for role in ("theta1", "theta2", "chi")
+    for label, valid in LABELS
+]
+
+
+@pytest.mark.parametrize("raw, valid", EDGE_CASES)
+def test_checker_edge_cases_agree_with_jsonschema(raw, valid):
+    assert VALIDATOR.is_valid(raw) is valid
+    assert _conforms(raw, CONFIG_SCHEMA) is valid
+
+
+# Values a mutation puts in: every value nested in a shipped config, the
+# schema's own strings, and numbers at and around its bounds.
+PROPERTY_NAMES = sorted(
+    {name for schema in _schemas(CONFIG_SCHEMA) for name in schema.get("properties", {})}
+) + ["noise"]
+MUTANTS = st.one_of(
+    st.sampled_from([value for raw in SHIPPED for value in _values(raw)]),
+    st.sampled_from(
+        PROPERTY_NAMES
+        + ["abelian", "generic", "gaussian", "induced", "stays", "exhaustive", "sample", ""]
+    ),
+    st.sampled_from([None, True, False, 0.0, 1.0, 2.0, 0.5, 1.5, math.nan, math.inf, -math.inf]),
+    st.integers(-2, 12),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_checker_agrees_with_jsonschema_on_mutated_configs(data):
+    raw = copy.deepcopy(data.draw(st.sampled_from(SHIPPED)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from([v for v in _values(raw) if isinstance(v, (dict, list))]))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        value = copy.deepcopy(data.draw(MUTANTS))
+        if action == "add" or not keys:
+            if isinstance(target, dict):
+                target[data.draw(st.sampled_from(PROPERTY_NAMES))] = value
+            else:
+                target.insert(data.draw(st.integers(0, len(target))), value)
+        elif action == "delete":
+            del target[data.draw(st.sampled_from(keys))]
+        else:
+            target[data.draw(st.sampled_from(keys))] = value
+    assert _conforms(raw, CONFIG_SCHEMA) == VALIDATOR.is_valid(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from triplepole.gauss import (
     unit_trivial_characters,
 )
 from triplepole.gauss_sums import (
+    BAND_COUNTS_MAX_BYTES,
     NO_POLE_CEILING,
+    band_counts_bytes,
     character_sum,
     classify_pole,
     ideal_count,
@@ -156,6 +158,36 @@ def test_triple_estimates_match_pin(modulus):
         labels = [model.character_label(pin[role]) for role in ("theta1", "theta2", "chi")]
         est = numeric_triple_estimate(*labels, X=pin["X"])
         assert est.to_dict() == pin["estimate"], pin
+
+
+@pytest.mark.parametrize("gen", [(1, 0), (7, 0), (3, 2), (6, 3)])
+def test_band_counts_bytes_is_what_counting_builds(gen, monkeypatch):
+    # the arrays a small count zero-fills are the ones the estimate prices
+    real_zeros, built = np.zeros, []
+
+    def zeros(*args, **kwargs):
+        built.append(real_zeros(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(gs.np, "zeros", zeros)
+    modulus = GaussianModulus(gen)
+    gs._counts_cache.clear()
+    gs._band_counts(modulus, 5000)
+    assert len(built) == 2
+    assert sum(a.nbytes for a in built) == band_counts_bytes(modulus, 5000)
+
+
+def test_band_counts_bytes_bounds_the_numeric_lane():
+    # never allocated: the estimate alone decides
+    m59 = GaussianModulus((59, 0))
+    assert band_counts_bytes(m59, 10**12) == 472942584
+    assert band_counts_bytes(m59, 10**12) < BAND_COUNTS_MAX_BYTES
+    assert band_counts_bytes(m59, 10**16) == 47200939752
+    assert band_counts_bytes(m59, 10**16) > BAND_COUNTS_MAX_BYTES
+    assert BAND_COUNTS_MAX_BYTES == 2**30
+    # the benchmark's moduli and bounds stay far below the ceiling
+    for gen in [(7, 0), (9, 0), (13, 0), (15, 0), (21, 0)]:
+        assert band_counts_bytes(GaussianModulus(gen), 10**7) < 10**6
 
 
 def test_counts_cache_reused():

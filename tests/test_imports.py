@@ -1,7 +1,7 @@
 """The import contract, checked in fresh interpreters: a single-triple CLI
-request loads no lane it does not run, and every public name of the
-package resolves to the object its module defines, whatever was imported
-first."""
+request loads no lane it does not run and, for a valid config, no
+jsonschema; every public name of the package resolves to the object its
+module defines, whatever was imported first."""
 
 import json
 import subprocess
@@ -15,6 +15,8 @@ CONFIGS = REPO / "configs"
 
 # What `pole-order` and `factorize` never need.
 LANES = {"numpy", "triplepole.sweep", "triplepole.group_oracle", "triplepole.gauss_sums"}
+# What only a rejected config loads, to word its exit-2 message.
+JSONSCHEMA = {"jsonschema"}
 
 
 def imported_modules(*argv) -> tuple[int, set[str]]:
@@ -41,6 +43,7 @@ def test_single_triple_request_loads_no_lane(command, config):
     assert code == 0
     assert "triplepole.cli" in modules
     assert modules & LANES == set()
+    assert modules & JSONSCHEMA == set()
 
 
 def test_rejected_config_loads_no_lane(tmp_path):
@@ -49,6 +52,7 @@ def test_rejected_config_loads_no_lane(tmp_path):
     code, modules = imported_modules("pole-order", "--config", str(path))
     assert code == 2
     assert modules & LANES == set()
+    assert modules >= JSONSCHEMA  # the name the valid requests are checked for
 
 
 # The names `triplepole` exported when its `__init__` imported every lane.
