@@ -5,8 +5,11 @@ Every nonzero ideal of Z[i] has a unique generator in the closed quadrant
 sum over lattice points.  It is reduced to integer residue counts per norm
 band, computed in closed form from one integer square root per real part
 and band boundary, without visiting the points; only the final conversion
-to a complex number touches floating point.  The `workers` arguments are
-accepted for compatibility and have no effect.
+to a complex number touches floating point.  The counts of the last few
+(modulus, X) are cached, and each character sum taken over them is kept in
+the same entry, so a character probed again, as the cells of many triples
+are, costs a lookup.  The `workers` arguments are accepted for
+compatibility and have no effect.
 
 A truncated sum of a principal character grows linearly with density
 pi/4 * |units|/norm, while a non-principal one cancels; the ratio |S|/X
@@ -32,15 +35,20 @@ DEFAULT_TAU = 0.05
 
 _counts_cache: dict = {}
 _COUNTS_CACHE_LIMIT = 8
-# Ceiling on the arrays one band count builds (docs/formats.md, "Exit codes").
+# Ceiling on the peak of one band count (docs/formats.md, "Exit codes").
 BAND_COUNTS_MAX_BYTES = 1 << 30
+# Temporaries of one band boundary that `band_counts_bytes` prices, in
+# int64 vectors of length rows and in arrays of x_span x P entries.
+_ROW_TEMPORARIES = 6
+_SPAN_TEMPORARIES = 3
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
     """Exact floor square roots of nonnegative int64 values below 2**62."""
-    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s = np.sqrt(n).astype(np.int64)
     s -= s * s > n
-    s += (s + 1) * (s + 1) <= n
+    t = s + 1
+    s += t * t <= n
     return s
 
 
@@ -52,62 +60,94 @@ def _count_layout(modulus: GaussianModulus, X: int) -> tuple[int, int]:
     return period, (isqrt(X) // span + 1) * span
 
 
-def band_counts_bytes(modulus: GaussianModulus, X: int) -> int:
-    """Bytes of the int64 arrays `below` (rows x P) and `cumulative`
-    ((BANDS + 1) x x_span x P) that counting (modulus, X) builds.  The peak
-    is higher: each band boundary adds temporaries of up to that size."""
+def _band_arrays_bytes(modulus: GaussianModulus, X: int) -> int:
+    """Bytes of the two zero-filled int64 arrays that counting (modulus, X)
+    keeps: `below` (rows x P) and `cumulative` ((BANDS + 1) x units)."""
     period, rows = _count_layout(modulus, X)
-    return 8 * period * (rows + (BANDS + 1) * modulus.x_span)
+    return 8 * (rows * period + (BANDS + 1) * len(modulus.units))
+
+
+def band_counts_bytes(modulus: GaussianModulus, X: int) -> int:
+    """Bytes that counting (modulus, X) holds at its peak, at most: the two
+    arrays of `_band_arrays_bytes` and the temporaries of one band boundary.
+    Those are at most _ROW_TEMPORARIES int64 vectors of length rows (the
+    previous b_max, the radicand, and `_isqrt`'s root, successor, square and
+    bool mask, the mask rounded up to a vector) and _SPAN_TEMPORARIES arrays
+    of at most x_span x P entries (the unit classes, the boundary's folded
+    counts and their gather by unit; units * P / g <= x_span * P)."""
+    period, rows = _count_layout(modulus, X)
+    temporaries = _ROW_TEMPORARIES * rows + _SPAN_TEMPORARIES * modulus.x_span * period
+    return _band_arrays_bytes(modulus, X) + 8 * temporaries
+
+
+def _unit_classes(modulus: GaussianModulus, period: int) -> np.ndarray:
+    """Flat indices a * P + r, into counts folded to (x_span, P), of the
+    P / g classes (x + j*v0 mod x_span, y + j*g) that unit (x, y) collects:
+    one row per unit, in `modulus.units` order."""
+    units = np.array(modulus.units, dtype=np.int64)
+    j = np.arange(period // modulus.g, dtype=np.int64)
+    a_class = (units[:, :1] + j * modulus.v[0]) % modulus.x_span
+    return a_class * period + units[:, 1:] + j * modulus.g
 
 
 def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
-    """Counts[band, unit] over all ideals of norm <= X, cached per
-    (modulus, X).
+    """Counts[band, unit] over all ideals of norm <= X.
 
     The count is closed-form rather than a walk over the lattice.  The
     residue of a generator a + bi depends only on (a mod x_span, b mod P)
     with P = g * x_span / gcd(v0, x_span), and for each real part a the
     imaginary parts b <= isqrt(T - a^2) with b = r (mod P) number
-    (isqrt(T - a^2) - r + P) // P.  Taking T at every band boundary
-    ceil(kX / BANDS), folding a by its class mod x_span and differencing
-    over k gives exact integer counts per (band, a class, r) in
-    O(sqrt(X) * BANDS * P); unit (x, y) collects the P / g classes
-    (x + j*v0 mod x_span, y + j*g).  Raises PreconditionError, before any
-    array is built, when `band_counts_bytes` exceeds BAND_COUNTS_MAX_BYTES.
+    (isqrt(T - a^2) - r + P) // P.  At every band boundary T = ceil(kX /
+    BANDS) those counts are written in place, folded by the class of a mod
+    x_span and gathered per unit; differencing the per-unit totals over k
+    gives exact integer counts per (band, unit) in O(sqrt(X) * BANDS * P).
+    Raises PreconditionError, before any array is built, when
+    `band_counts_bytes` exceeds BAND_COUNTS_MAX_BYTES.
     """
-    key = (modulus.generator, X)
-    cached = _counts_cache.get(key)
-    if cached is not None:
-        return cached
     need = band_counts_bytes(modulus, X)
     if need > BAND_COUNTS_MAX_BYTES:
         raise PreconditionError(
             f"counting ideals of norm <= {X} for modulus {modulus.generator} needs "
             f"about {need} bytes, over the ceiling of {BAND_COUNTS_MAX_BYTES} bytes"
         )
-    g, span, v0 = modulus.g, modulus.x_span, modulus.v[0]
+    span = modulus.x_span
     period, rows = _count_layout(modulus, X)
-    r = np.arange(period, dtype=np.int64)
+    classes = _unit_classes(modulus, period)
     # b-counts per (a, r) up to the current boundary; a boundary only grows,
     # so rows past its isqrt stay zero, and row a = 0 is never written
     below = np.zeros((rows, period), dtype=np.int64)
-    cumulative = np.zeros((BANDS + 1, span, period), dtype=np.int64)
+    cumulative = np.zeros((BANDS + 1, len(classes)), dtype=np.int64)
     for k in range(1, BANDS + 1):
         bound = -(-k * X // BANDS)
         top = isqrt(bound) + 1
         b_max = _isqrt(bound - np.arange(1, top, dtype=np.int64) ** 2)
-        below[1:top] = (b_max[:, None] - r + period) // period
-        cumulative[k] = below.reshape(-1, span, period).sum(axis=0)
-    per_band = np.diff(cumulative, axis=0)
-    units = np.array(modulus.units, dtype=np.int64)
-    j = np.arange(period // g, dtype=np.int64)
-    a_class = (units[:, :1] + j * v0) % span
-    r_class = units[:, 1:] + j * g
-    counts = per_band[:, a_class, r_class].sum(axis=2)
-    if len(_counts_cache) >= _COUNTS_CACHE_LIMIT:
-        _counts_cache.pop(next(iter(_counts_cache)))
-    _counts_cache[key] = counts
-    return counts
+        # in place, one residue at a time: numpy buffers a broadcast ufunc
+        rows_k = below[1:top]
+        for r in range(period):
+            np.subtract(b_max, r - period, out=rows_k[:, r])
+        np.floor_divide(rows_k, period, out=rows_k)
+        folded = below.reshape(-1, span, period).sum(axis=0)
+        folded.ravel()[classes].sum(axis=1, out=cumulative[k])
+    # difference in place, highest boundary first
+    for k in range(BANDS, 0, -1):
+        cumulative[k] -= cumulative[k - 1]
+    return cumulative[1:]
+
+
+def _counts_entry(modulus: GaussianModulus, X: int) -> tuple[np.ndarray, dict]:
+    """(counts, sums) for (modulus, X), cached together: the band counts and
+    the character sums already taken over them, keyed by `psi.exps`.
+    Evicting or clearing an entry drops its sums with its counts.  The sums
+    hold at most one complex per unit character, fewer than the counts'
+    BANDS x units cells."""
+    key = (modulus.generator, X)
+    entry = _counts_cache.get(key)
+    if entry is None:
+        counts = _band_counts(modulus, X)
+        if len(_counts_cache) >= _COUNTS_CACHE_LIMIT:
+            _counts_cache.pop(next(iter(_counts_cache)))
+        entry = _counts_cache[key] = (counts, {})
+    return entry
 
 
 def character_sum(psi: GaussianHeckeChar, X: int, workers: int | None = None) -> complex:
@@ -115,12 +155,17 @@ def character_sum(psi: GaussianHeckeChar, X: int, workers: int | None = None) ->
 
     Ideals sharing a prime with the modulus contribute zero.  Counts are
     exact integers per norm band; bands are converted and added in fixed
-    order.  `workers` is accepted for compatibility and has no effect.
+    order.  Each sum is evaluated once per (modulus, X) and kept with the
+    band counts, so a repeated character is a lookup.  `workers` is
+    accepted for compatibility and has no effect.
     """
     if X < 1:
         raise PreconditionError("summation bound X must be at least 1")
     modulus = psi.modulus
-    counts = _band_counts(modulus, X)
+    counts, sums = _counts_entry(modulus, X)
+    total = sums.get(psi.exps)
+    if total is not None:
+        return total
     L = modulus.unit_exponent
     expo = (modulus.unit_log_matrix @ np.array(psi.exps, dtype=np.int64)) % L
     cells = (np.arange(BANDS)[:, None] * L + expo).ravel()
@@ -131,6 +176,7 @@ def character_sum(psi: GaussianHeckeChar, X: int, workers: int | None = None) ->
     total = 0.0 + 0.0j
     for band in range(BANDS):
         total += complex(expo_counts[band] @ roots)
+    sums[psi.exps] = total
     return total
 
 
@@ -139,7 +185,7 @@ def ideal_count(X: int) -> int:
     if X < 1:
         raise PreconditionError("summation bound X must be at least 1")
     modulus = GaussianModulus((1, 0))
-    return int(_band_counts(modulus, X).sum())
+    return int(_counts_entry(modulus, X)[0].sum())
 
 
 # ---------------------------------------------------------------------------

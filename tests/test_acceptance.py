@@ -301,3 +301,33 @@ def test_criterion_8_numeric_agreement_on_gaussian_demo():
         f"ell_hat=2=ell at X={X}, pole ratios within 0.05 of {density:.4f}, "
         f"anchor within 0.01 of pi/4, {elapsed:.1f}s",
     )
+
+
+def test_criterion_9_numeric_agreement_on_whole_gaussian_families():
+    # every triple with non-invariant theta1 and theta2 and any ideal chi;
+    # (13, 0) and (15, 0) take seconds each and stay out of tier-1
+    X, tau = 10**6, 0.05
+    start = time.monotonic()
+    triples = 0
+    for modulus, expected in [((7, 0), 432), ((9, 0), 2592)]:
+        model = HeckeGaussianModel(GaussianModulus(modulus))
+        labels = [model.label(psi) for psi in model.characters]
+        noninvariant = [lab for lab in labels if not model.is_invariant(lab)]
+        count = 0
+        for theta1 in noninvariant:
+            for theta2 in noninvariant:
+                for chi in labels:
+                    # an indeterminate cell raises
+                    est = numeric_triple_estimate(theta1, theta2, chi, X=X, tau=tau)
+                    assert est.ell_hat == est.ell_symbolic, (modulus, theta1, theta2, chi)
+                    count += 1
+        assert count == expected
+        triples += count
+    elapsed = time.monotonic() - start
+    assert triples == 3024
+    assert elapsed <= 60.0
+    report(
+        9,
+        f"ell_hat = ell on all {triples} triples of moduli (7, 0) and (9, 0) "
+        f"at X={X}, none indeterminate, {elapsed:.1f}s",
+    )

@@ -11,6 +11,7 @@ import cmath
 import hashlib
 import json
 import math
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
@@ -84,7 +85,21 @@ def test_character_sum_requires_positive_bound():
         character_sum(triv, 0)
 
 
-def test_worker_split_is_bit_identical():
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts the character sums evaluated, not looked up: each evaluation
+    takes one `np.bincount` over the band counts."""
+    real_bincount, calls = np.bincount, []
+
+    def bincount(*args, **kwargs):
+        calls.append(1)
+        return real_bincount(*args, **kwargs)
+
+    monkeypatch.setattr(gs.np, "bincount", bincount)
+    return calls
+
+
+def test_worker_split_is_bit_identical(evaluations):
     psi = unit_trivial_characters(GaussianModulus((7, 0)))[3]
     gs._counts_cache.clear()
     one = character_sum(psi, 40000, workers=1)
@@ -92,7 +107,39 @@ def test_worker_split_is_bit_identical():
     four = character_sum(psi, 40000, workers=4)
     gs._counts_cache.clear()
     seven = character_sum(psi, 40000, workers=7)
+    # each call evaluated, so the three values are not one kept sum
+    assert len(evaluations) == 3
     assert one == four == seven
+
+
+def test_repeated_sum_is_kept_with_the_counts(evaluations):
+    psi = unit_trivial_characters(GaussianModulus((7, 0)))[5]
+    gs._counts_cache.clear()
+    first = character_sum(psi, 4321)
+    assert len(evaluations) == 1
+    assert character_sum(psi, 4321) is first
+    assert character_sum(GaussianHeckeChar(psi.modulus, psi.exps), 4321) is first
+    assert len(evaluations) == 1
+    # another bound is another entry; clearing the counts drops the sums
+    character_sum(psi, 4322)
+    assert len(evaluations) == 2
+    gs._counts_cache.clear()
+    again = character_sum(psi, 4321)
+    assert len(evaluations) == 3
+    assert again == first and again is not first
+
+
+def test_evicted_counts_take_their_sums(evaluations):
+    psi = unit_trivial_characters(GaussianModulus((7, 0)))[1]
+    gs._counts_cache.clear()
+    character_sum(psi, 100)
+    for X in range(101, 101 + gs._COUNTS_CACHE_LIMIT):
+        character_sum(psi, X)
+    assert ((7, 0), 100) not in gs._counts_cache
+    assert len(gs._counts_cache) == gs._COUNTS_CACHE_LIMIT
+    before = len(evaluations)
+    character_sum(psi, 100)
+    assert len(evaluations) == before + 1
 
 
 PINS = json.loads((Path(__file__).parent / "gauss_pins.json").read_text())
@@ -122,7 +169,6 @@ def test_band_counts_match_brute_force(gen, X):
     # (2, 1), (3, 2) and (6, 3) are not conjugation-stable, and (6, 3) has
     # g = 3 with a b-period of 15; X on and beside band edges
     modulus = GaussianModulus(gen)
-    gs._counts_cache.clear()
     counts = gs._band_counts(modulus, X)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, brute_counts(modulus, X))
@@ -162,7 +208,8 @@ def test_triple_estimates_match_pin(modulus):
 
 @pytest.mark.parametrize("gen", [(1, 0), (7, 0), (3, 2), (6, 3)])
 def test_band_counts_bytes_is_what_counting_builds(gen, monkeypatch):
-    # the arrays a small count zero-fills are the ones the estimate prices
+    # the arrays a small count zero-fills are the ones the estimate's
+    # arrays term prices; the rest of the estimate is temporaries
     real_zeros, built = np.zeros, []
 
     def zeros(*args, **kwargs):
@@ -171,18 +218,33 @@ def test_band_counts_bytes_is_what_counting_builds(gen, monkeypatch):
 
     monkeypatch.setattr(gs.np, "zeros", zeros)
     modulus = GaussianModulus(gen)
-    gs._counts_cache.clear()
     gs._band_counts(modulus, 5000)
     assert len(built) == 2
-    assert sum(a.nbytes for a in built) == band_counts_bytes(modulus, 5000)
+    assert sum(a.nbytes for a in built) == gs._band_arrays_bytes(modulus, 5000)
+    assert band_counts_bytes(modulus, 5000) > gs._band_arrays_bytes(modulus, 5000)
+
+
+@pytest.mark.parametrize("gen", [(1, 0), (7, 0), (6, 3), (59, 0)])
+def test_band_counts_peak_is_within_the_estimate(gen):
+    # small counts only: the largest, (59, 0), peaks near 1.5 MB
+    modulus = GaussianModulus(gen)
+    modulus.units  # the modulus's own tables are not the count's
+    X = 10**6
+    tracemalloc.start()
+    try:
+        gs._band_counts(modulus, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gs._band_arrays_bytes(modulus, X) < peak <= band_counts_bytes(modulus, X)
 
 
 def test_band_counts_bytes_bounds_the_numeric_lane():
     # never allocated: the estimate alone decides
     m59 = GaussianModulus((59, 0))
-    assert band_counts_bytes(m59, 10**12) == 472942584
+    assert band_counts_bytes(m59, 10**12) == 521028264
     assert band_counts_bytes(m59, 10**12) < BAND_COUNTS_MAX_BYTES
-    assert band_counts_bytes(m59, 10**16) == 47200939752
+    assert band_counts_bytes(m59, 10**16) == 52001025144
     assert band_counts_bytes(m59, 10**16) > BAND_COUNTS_MAX_BYTES
     assert BAND_COUNTS_MAX_BYTES == 2**30
     # the benchmark's moduli and bounds stay far below the ceiling
@@ -303,3 +365,19 @@ def test_estimate_rejects_foreign_labels():
     lab = m.label((1, 0))
     with pytest.raises(PreconditionError):
         numeric_triple_estimate(lab, lab, m.label((0, 0)), X=100)
+
+
+def test_one_evaluation_per_character_over_a_modulus(model7, evaluations):
+    # 6 non-invariant labels, so 432 triples and 1,728 probed cells
+    gs._counts_cache.clear()
+    noninvariant = [lab for lab in map(model7.label, model7.characters)
+                    if not model7.is_invariant(lab)]
+    triples = 0
+    for theta1 in noninvariant:
+        for theta2 in noninvariant:
+            for psi in model7.characters:
+                est = numeric_triple_estimate(theta1, theta2, model7.label(psi), X=10**5)
+                assert est.agree
+                triples += 1
+    assert triples == 432
+    assert len(evaluations) <= len(model7.characters) == 12
