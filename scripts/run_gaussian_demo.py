@@ -24,8 +24,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--X", type=int, default=200000, help="norm bound")
     parser.add_argument("--tau", type=float, default=0.05, help="pole threshold")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="accepted; has no effect")
     args = parser.parse_args()
 
     modulus = GaussianModulus((7, 0))
@@ -39,16 +37,14 @@ def main() -> int:
     print(f"ideal count up to {args.X}: {count} "
           f"(X*pi/4 = {args.X * math.pi / 4:.0f})")
     trivial = unit_trivial_characters(anchor)[0]
-    probe = probe_pole(trivial, args.X, tau=args.tau, workers=args.workers)
+    probe = probe_pole(trivial, args.X, tau=args.tau)
     print(f"anchor ratio {probe.ratio:.6f} vs pi/4 = {math.pi / 4:.6f}")
 
     theta1 = model.character_label(1)
     theta2 = model.character_label(1)
     chi = model.character_label(10)
     start = time.monotonic()
-    est = numeric_triple_estimate(
-        theta1, theta2, chi, X=args.X, tau=args.tau, workers=args.workers
-    )
+    est = numeric_triple_estimate(theta1, theta2, chi, X=args.X, tau=args.tau)
     elapsed = time.monotonic() - start
     print(f"demo triple at X={args.X} ({elapsed:.2f}s): "
           f"numeric ell={est.ell_hat}, symbolic ell={est.ell_symbolic}")

@@ -2,7 +2,7 @@
 
 `abelian_basis` decomposes a finite abelian group, supplied as a list of
 hashable, orderable elements plus a multiplication callable, into an
-invariant-factor basis: generators g_1, ..., g_r with orders t_1 | ... | t_2
+invariant-factor basis: generators g_1, ..., g_r with orders t_r | ... | t_2
 | t_1 descending, every element writing uniquely as a product of basis
 powers.  The returned log table maps each element to its coordinate vector,
 which is what character evaluation needs.

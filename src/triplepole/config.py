@@ -272,6 +272,16 @@ def _conforms(value, schema) -> bool:
     return all(_KEYWORDS[keyword](value, arg, schema) for keyword, arg in schema.items())
 
 
+def _integers(value):
+    """`value` with each integral float, which the schema accepts as an
+    integer (its one number, tau, lies in (0, 1)), made a Python int."""
+    if isinstance(value, list):
+        return [_integers(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _integers(x) for key, x in value.items()}
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def load_config(path: str | Path) -> dict:
     """Read and schema-validate a JSON configuration file."""
     try:
@@ -283,7 +293,7 @@ def load_config(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     validate_config(raw)
-    return raw
+    return _integers(raw)
 
 
 def validate_config(raw: dict) -> None:

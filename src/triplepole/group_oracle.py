@@ -22,7 +22,7 @@ import numpy as np
 
 from .cyclotomic import CyclotomicInt, _poly_rem_monic, cyclotomic_polynomial
 from .errors import InvariantViolationError, ModelMismatchError, PreconditionError
-from .models import AbelianModel, CuspidalLabelK, _mat_apply, sigma_powers
+from .models import AbelianModel, CuspidalLabelK, _mat_apply, sigma_powers, sigma_table
 from .sweep import TripleKernel, pole_orders
 
 PAIRING_NOTE = (
@@ -81,10 +81,7 @@ class FiniteGroupModel:
         self._base_index = {a: i for i, a in enumerate(self._base)}
         self._sigma_powers = powers
         # sigma_index[t][i]: base index of sigma^t applied to base element i
-        self.sigma_index = [
-            [self._base_index[_mat_apply(m, factors, a)] for a in self._base]
-            for m in powers
-        ]
+        self.sigma_index = sigma_table(factors, powers).tolist()
 
     @property
     def identity(self):
@@ -244,31 +241,74 @@ def trivial_multiplicity(
     """Multiplicity of the trivial representation in the tensor product of
     the three induced characters: (1/|G|) sum over G of their value product.
 
-    The full sum is accumulated in cyclotomic coefficient form (the induced
-    characters vanish off the base, so those terms contribute nothing) and
-    certified as an integer divisible by |G|.
+    The full sum is certified by `_multiplicities` (the induced characters
+    vanish off the base, so those terms contribute nothing).
     """
     for lam in (lambda1, lambda2, chi):
         if lam.group is not group:
             raise ModelMismatchError("character belongs to a different group")
-    p, n = group.p, group.nexp
-    sig = group.sigma_index
-    exps = [lam._exp_by_index for lam in (lambda1, lambda2, chi)]
-    coeffs = [0] * n
-    for i in range(group.base_order):
-        # exponents of each character along the sigma-orbit of base element i
-        row1, row2, row3 = ([e[sig[t][i]] for t in range(p)] for e in exps)
-        for x in row1:
-            for y in row2:
-                xy = x + y
-                for z in row3:
-                    coeffs[(xy + z) % n] += 1
-    value = CyclotomicInt(n, tuple(coeffs)).as_integer()
-    if value % group.order != 0:
-        raise InvariantViolationError(
-            f"summation {value} is not divisible by |G| = {group.order}"
-        )
-    return value // group.order
+    sig = np.array(group.sigma_index)
+    e1, e2, e3 = (np.array(lam._exp_by_index)[sig] for lam in (lambda1, lambda2, chi))
+    return int(_multiplicities(e1, e2, e3[None], group, _remainder_matrix(group.nexp))[0])
+
+
+# Entries of the largest temporary a `_multiplicities` call holds: the
+# exponent sums over one block of base elements for every chi.  No catalogue
+# model reaches it; the largest, (50,) at p = 5, needs 112,500.
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _exponent_table(group: FiniteGroupModel) -> np.ndarray:
+    """E[lam, t, b]: exponent of base character lam at sigma^t of base
+    element b, characters and elements in mixed-radix index order."""
+    coords = np.array(group.base_elements(), dtype=np.int64)
+    weights = np.array([group.nexp // d for d in group.factors], dtype=np.int64)
+    return ((coords * weights) @ coords.T % group.nexp)[:, np.array(group.sigma_index)]
+
+
+def _remainder_matrix(n: int) -> np.ndarray:
+    """Row e: coefficients of x^e reduced modulo the n-th cyclotomic
+    polynomial.  Reduction is linear, so a monomial-count vector times this
+    matrix is the reduced form of the corresponding cyclotomic sum."""
+    phi = list(cyclotomic_polynomial(n))
+    deg = len(phi) - 1
+    rows = []
+    for e in range(n):
+        mono = [0] * (e + 1)
+        mono[e] = 1
+        rem = _poly_rem_monic(mono, phi)
+        rem = rem + [0] * (deg - len(rem))
+        rows.append(rem)
+    return np.array(rows, dtype=np.int64)
+
+
+def _multiplicities(e1, e2, chis, group: FiniteGroupModel, R) -> np.ndarray:
+    """Certified trivial multiplicities of (lam1, lam2, chi_c) for a stack
+    of chis, from rows of `_exponent_table`: e1, e2 of shape (p, base) and
+    chis of shape (c, p, base), row c offset by 3nc for n = group.nexp so
+    that the exponent sums of chi c, in [0, 3n - 3], fall in bins of their
+    own.  The exponents are counted over blocks of base elements, reduced by
+    R = `_remainder_matrix(n)`, certified rational integers and divided by
+    |G|.
+    """
+    n = group.nexp
+    nchi, p, nbase = chis.shape
+    step = max(1, _BLOCK_ENTRIES // (nchi * p**3))
+    counts = 0
+    for lo in range(0, nbase, step):
+        sl = slice(lo, lo + step)
+        d12 = (e1[:, None, sl] + e2[None, :, sl]).reshape(p * p, -1)
+        combined = d12[None, :, None, :] + chis[:, None, :, sl]
+        counts = counts + np.bincount(combined.ravel(), minlength=nchi * 3 * n)
+    counts = counts.reshape(nchi, 3, n).sum(axis=1)
+    deg = R.shape[1]  # rows below deg are unit vectors: x^e is already reduced
+    reduced = counts[:, :deg] + counts[:, deg:] @ R[deg:]
+    if deg > 1 and np.any(reduced[:, 1:]):
+        raise InvariantViolationError("oracle sum is not a rational integer")
+    sums = reduced[:, 0]
+    if np.any(sums % group.order):
+        raise InvariantViolationError("oracle sum is not divisible by |G|")
+    return sums // group.order
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +350,8 @@ def _orbit_reps(group: FiniteGroupModel) -> np.ndarray:
     `characters_of_base`; lam o sigma has the exponent vector
     dual_sigma(sigma) e, which for `oracle_group(model)` is model.sigma e.
     """
-    factors = np.array(group.factors, dtype=np.int64)
-    strides = np.cumprod(np.r_[1, factors[:0:-1]])[::-1]
-    dual_t = np.array(dual_sigma(group.factors, group.sigma), dtype=np.int64).T
-    exps = np.array(group.base_elements(), dtype=np.int64)
-    rep = np.arange(group.base_order)
-    for _ in range(group.p - 1):
-        exps = exps @ dual_t % factors
-        rep = np.minimum(rep, exps @ strides)
-    return rep
+    dual = dual_sigma(group.factors, group.sigma)
+    return sigma_table(group.factors, sigma_powers(group.factors, dual, group.p)).min(axis=0)
 
 
 def projection_formula_sweep(group: FiniteGroupModel) -> dict:
@@ -351,17 +384,12 @@ def projection_formula_sweep(group: FiniteGroupModel) -> dict:
     has each of its statements decided by the exact value-by-value check;
     a listed failure stands for its whole orbit pair.
     """
-    nbase, n = group.base_order, group.nexp
-    coords = np.array(group.base_elements(), dtype=np.int64)
-    weights = np.array([n // d for d in group.factors], dtype=np.int64)
-    # E[lam, a]: exponent of character lam at base element a
-    E = (coords * weights) @ coords.T % n
+    nbase = group.base_order
     sig = np.array(group.sigma_index, dtype=np.int64)  # (p, nbase)
-    sig2 = sig[:, sig]  # sig2[s, t, a] = sigma^s(sigma^t(a))
     reps = np.unique(_orbit_reps(group))
     nrep = len(reps)
-    E_sig = E[reps][:, sig]  # (rep, s, a): E[rep, sigma^s a]
-    E_sig2 = E[reps][:, sig2]  # (rep, s, t, a): E[rep, sigma^s sigma^t a]
+    E_sig = _exponent_table(group)[reps]  # (rep, s, a): E[rep, sigma^s a]
+    E_sig2 = E_sig[:, :, sig]  # (rep, s, t, a): E[rep, sigma^s sigma^t a]
     stable = np.all(
         np.sort(E_sig2, axis=1) == np.sort(E_sig, axis=1)[:, :, None, :], axis=(1, 2, 3)
     )
@@ -454,22 +482,6 @@ def oracle_compare(
     )
 
 
-def _remainder_matrix(n: int) -> np.ndarray:
-    """Row e: coefficients of x^e reduced modulo the n-th cyclotomic
-    polynomial.  Reduction is linear, so a monomial-count vector times this
-    matrix is the reduced form of the corresponding cyclotomic sum."""
-    phi = list(cyclotomic_polynomial(n))
-    deg = len(phi) - 1
-    rows = []
-    for e in range(n):
-        mono = [0] * (e + 1)
-        mono[e] = 1
-        rem = _poly_rem_monic(mono, phi)
-        rem = rem + [0] * (deg - len(rem))
-        rows.append(rem)
-    return np.array(rows, dtype=np.int64)
-
-
 def oracle_agreement_sweep(model: AbelianModel) -> dict:
     """Criterion-level agreement check: for every valid triple of the model,
     the oracle's trivial multiplicity must equal the matching-matrix count.
@@ -481,63 +493,34 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     theta1 and theta2: the sum (1/|G|) sum_a prod_i sum_t lambda_i(sigma^t a)
     is, and so is the multiset of its monomial exponents, which is all the
     count vector records.  It is therefore computed once for each unordered
-    pair of non-invariant orbit representatives and each representative chi
-    (`oracle_sums` counts the pairs: k(k+1)/2 for k representatives), and
-    written to both cells of the table.  Each sum is the full summation
-    trivial_multiplicity performs: monomial exponents are accumulated into
-    count vectors, reduced by the exact cyclotomic remainder matrix,
-    certified integer, and divided by |G|.  Every triple is then compared
-    with the kernel's pole order through its representatives, in
-    (theta1, theta2, chi) index order.
+    pair of non-invariant orbit representatives, for every representative
+    chi in one `_multiplicities` call (`oracle_sums` counts the pairs:
+    k(k+1)/2 for k representatives), and written to both cells of the
+    table.  Every triple is then compared with the kernel's pole order
+    through its representatives, in (theta1, theta2, chi) index order.
     """
     G = oracle_group(model)
-    p, n, nbase = G.p, G.nexp, G.base_order
-    coords = np.array(G.base_elements(), dtype=np.int64)
-    weights = np.array([n // d for d in G.factors], dtype=np.int64)
-    sig = np.array(G.sigma_index, dtype=np.int64)
-    # E[a, t, b]: exponent of the character indexed by model element a at
-    # sigma^t of base element b
-    pair_exp = (coords * weights) @ coords.T % n  # (char, base)
-    E = pair_exp[:, sig]  # (char, p, base)
-    R = _remainder_matrix(n)
-    deg = R.shape[1]
-    R_high = R[deg:]  # rows below deg are unit vectors: x^e is already reduced
-
+    E = _exponent_table(G)  # characters indexed as model elements
+    R = _remainder_matrix(G.nexp)
     kernel = TripleKernel(model)
     rep = _orbit_reps(G)
     # chi_at[c], inducer_at[a]: position of the representative of chi c,
     # of theta = noninv[a], among the representatives
     chis, chi_at = np.unique(rep, return_inverse=True)
     inducers, inducer_at = np.unique(rep[kernel.noninv], return_inverse=True)
-    # exponent sums of three characters lie in [0, 3n - 3]: one bincount
-    # row of 3n bins per chi, folded mod n afterwards
-    E_chi = E[chis] + (np.arange(len(chis)) * 3 * n)[:, None, None]
+    E_chi = E[chis] + (np.arange(len(chis)) * 3 * G.nexp)[:, None, None]
     # M[x, y, c]: multiplicity of (inducers[x], inducers[y], chis[c]),
     # symmetric in x and y
     k = len(inducers)
     M = np.empty((k, k, len(chis)), dtype=np.int64)
     for x, i1 in enumerate(inducers):
         for y in range(x, k):
-            i2 = inducers[y]
-            d12 = (E[i1][:, None, :] + E[i2][None, :, :]).reshape(p * p, nbase)
-            # combined[c, t1t2, t3, b]: exponent sums for every chi at once,
-            # offset into the bins of chi c
-            combined = d12[None, :, None, :] + E_chi[:, None, :, :]
-            counts = np.bincount(combined.ravel(), minlength=len(chis) * 3 * n)
-            counts = counts.reshape(-1, 3, n).sum(axis=1)
-            reduced = counts[:, :deg] + counts[:, deg:] @ R_high
-            if deg > 1 and np.any(reduced[:, 1:]):
-                raise InvariantViolationError("oracle sum is not a rational integer")
-            sums = reduced[:, 0]
-            if np.any(sums % G.order):
-                raise InvariantViolationError("oracle sum is not divisible by |G|")
-            M[x, y] = sums // G.order
-            M[y, x] = M[x, y]
+            M[x, y] = M[y, x] = _multiplicities(E[i1], E[inducers[y]], E_chi, G, R)
 
     mismatches = []
     triples = 0
     for a, b in kernel.pair_blocks():
-        ells = pole_orders(kernel.chi(a, b), nbase)
+        ells = pole_orders(kernel.chi(a, b), G.base_order)
         mult = M[inducer_at[a][:, None], inducer_at[b][:, None], chi_at]
         triples += ells.size
         for q, c in zip(*np.nonzero(mult != ells)):

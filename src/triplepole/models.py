@@ -65,8 +65,8 @@ class CuspidalLabelK:
     """A label for a cuspidal representation over the extension field.
 
     ``payload`` is model-specific: an element tuple in the abelian model, an
-    (atom_id, shift) pair in the generic model, a Hecke character in the
-    Gaussian model.
+    (atom_id, shift) pair in the generic model, the exponent tuple
+    ``psi.exps`` of a Hecke character in the Gaussian model.
     """
 
     model: object
@@ -113,7 +113,7 @@ def sigma_powers(factors, sigma, p: int):
                 raise PreconditionError(
                     f"sigma entry ({i},{j}) does not define a map on the factors"
                 )
-    powers = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
+    powers = [tuple(tuple(int(i == j) % factors[i] for j in range(r)) for i in range(r))]
     power = sigma
     for _ in range(p - 1):
         powers.append(power)
@@ -121,6 +121,18 @@ def sigma_powers(factors, sigma, p: int):
     if power != powers[0]:
         raise PreconditionError("sigma does not satisfy sigma^p = identity")
     return tuple(powers)
+
+
+def sigma_table(factors, powers):
+    """index[t, x]: the mixed-radix index, as `AbelianModel.encode` gives
+    it, of powers[t] applied to the element of index x; an intp numpy array
+    of shape (len(powers), prod factors)."""
+    import numpy as np  # only the dense lanes need numpy
+
+    d = np.array(factors, dtype=np.intp)
+    strides = np.cumprod(np.r_[1, d[:0:-1]])[::-1]
+    coords = np.arange(int(np.prod(d)))[:, None] // strides % d
+    return coords @ np.array(powers, dtype=np.intp).transpose(0, 2, 1) % d @ strides
 
 
 @dataclass(frozen=True)

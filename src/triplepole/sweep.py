@@ -9,7 +9,7 @@ from math import gcd
 import numpy as np
 
 from .errors import PreconditionError
-from .models import AbelianModel, CyclicData
+from .models import AbelianModel, CyclicData, sigma_table
 
 
 def multiplicative_order(u: int, n: int) -> int:
@@ -93,23 +93,17 @@ class TripleKernel:
     def __init__(self, model: AbelianModel):
         self.model = model
         self.p, self.n = model.p, model.order
-        factors = np.array(model.factors, dtype=np.intp)
-        strides = np.cumprod(np.r_[1, factors[:0:-1]])[::-1]
-        coords = np.arange(self.n)[:, None] // strides % factors
-        sigma_t = np.array(model.sigma, dtype=np.intp).T
-        shifted = [coords]
-        for _ in range(self.p - 1):
-            shifted.append(shifted[-1] @ sigma_t % factors)
-        self.invariant = (shifted[1] == coords).all(axis=1)
+        factors = model.factors
+        strides = np.cumprod([1, *factors[:0:-1]])[::-1].tolist()
+        index = sigma_table(factors, model._sigma_powers)
+        self.invariant = index[1] == np.arange(self.n)
         self.noninv = np.flatnonzero(~self.invariant)
         self.m = len(self.noninv)
         # per coordinate: the shifted coordinate of each non-invariant label,
         # shape (m, p), and -x mod d times the stride for a sum x of two
-        stacked = np.stack(shifted)[:, self.noninv, :]
-        self._coords = [stacked[:, :, i].T.copy() for i in range(len(factors))]
-        self._neg = [
-            (-np.arange(2 * d - 1)) % d * s for d, s in zip(factors.tolist(), strides.tolist())
-        ]
+        shifted = index[:, self.noninv].T
+        self._coords = [shifted // s % d for d, s in zip(factors, strides)]
+        self._neg = [(-np.arange(2 * d - 1)) % d * s for d, s in zip(factors, strides)]
 
     def pair_blocks(self, npairs: int | None = None):
         """The first `npairs` pairs (default all m * m) in index order, as

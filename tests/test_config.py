@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from triplepole import AbelianModel, ConfigError, GenericRelationModel
+from triplepole.cli import main
 from triplepole.config import (
     CONFIG_SCHEMA,
     CONFIG_VERSION,
@@ -271,6 +272,54 @@ EDGE_CASES = [
 def test_checker_edge_cases_agree_with_jsonschema(raw, valid):
     assert VALIDATOR.is_valid(raw) is valid
     assert _conforms(raw, CONFIG_SCHEMA) is valid
+
+
+# The accepted integral-float edge cases, plus a float label and a sampled
+# sweep, with the subcommands that read the edited value.
+_ABELIAN_COMMANDS = ("pole-order", "factorize", "oracle-compare")
+FLOAT_COMMANDS = {
+    "version-1.0": _ABELIAN_COMMANDS,
+    "p-3.0": _ABELIAN_COMMANDS,
+    "factor-7.0": _ABELIAN_COMMANDS,
+    "sigma-1.0": _ABELIAN_COMMANDS,
+    "modulus-7.0": ("hecke-estimate", "oracle-compare"),
+    "X-1.0": ("hecke-estimate",),
+    "samples-1.0": ("sweep",),
+    "limit-1.0": ("sweep",),
+}
+FLOAT_CASES = [
+    pytest.param(p.values[0], FLOAT_COMMANDS[p.id], id=p.id)
+    for p in EDGE_CASES
+    if p.id in FLOAT_COMMANDS
+] + [
+    pytest.param(_edited(GAUSS, ["labels", "chi"], 10.0), ("hecke-estimate",), id="chi-10.0"),
+    pytest.param(
+        _edited(_edited(SWEEP, ["budget", "strategy"], "sample"), ["budget", "samples"], 10.0),
+        ("sweep",),
+        id="sampled-10.0",
+    ),
+]
+
+
+def _run_config(tmp_path, capsys, command, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    code = main([command, "--config", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    del report["elapsed_seconds"]
+    return code, report
+
+
+@pytest.mark.parametrize("raw, commands", FLOAT_CASES)
+def test_integral_floats_run_as_their_integer_twins(tmp_path, capsys, raw, commands):
+    twin = json.loads(
+        json.dumps(raw), parse_float=lambda s: int(float(s)) if float(s).is_integer() else float(s)
+    )
+    assert [type(v) for v in _values(twin)] != [type(v) for v in _values(raw)]
+    for command in commands:
+        assert _run_config(tmp_path, capsys, command, raw) == _run_config(
+            tmp_path, capsys, command, twin
+        ), command
 
 
 # Values a mutation puts in: every value nested in a shipped config, the

@@ -8,6 +8,7 @@ group (Z/7 by doubling).
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ import triplepole.group_oracle as group_oracle
 from triplepole.calculus import matching_matrix
 from triplepole.cyclotomic import CyclotomicInt
 from triplepole.errors import (
+    InvariantViolationError,
     ModelMismatchError,
     PreconditionError,
 )
@@ -275,22 +277,48 @@ def test_dihedral_triple_multiplicities(dihedral6):
     assert trivial_multiplicity(omega, omega, omega2, dihedral6) == 1
 
 
-def test_multiplicity_matches_honest_inner_product(frobenius21):
-    # the batched summation must agree with literally multiplying the three
-    # induced class functions and pairing against the trivial one
+def test_multiplicity_matches_honest_inner_product(monkeypatch):
+    # the kernel, called as the agreement sweep calls it (every chi at once,
+    # in one block and one base element per block) and as
+    # trivial_multiplicity calls it (one chi), must agree with literally
+    # multiplying the three induced class functions and pairing against the
+    # trivial one: on every triple of the small groups, and on the triples
+    # of orbit representatives of Z11p5
+    for name, G in ORBIT_GROUPS.items():
+        chars = characters_of_base(G)
+        one = trivial_class_function(G)
+        inds = [induced_character(lam, G) for lam in chars]
+        idx = np.unique(group_oracle._orbit_reps(G)) if name == "Z11p5" else np.arange(len(chars))
+        E = group_oracle._exponent_table(G)
+        R = group_oracle._remainder_matrix(G.nexp)
+        stack = E[idx] + (np.arange(len(idx)) * 3 * G.nexp)[:, None, None]
+        for i1, i2 in itertools.product(idx.tolist(), repeat=2):
+            batched = group_oracle._multiplicities(E[i1], E[i2], stack, G, R)
+            with monkeypatch.context() as m:
+                m.setattr(group_oracle, "_BLOCK_ENTRIES", 1)
+                assert (group_oracle._multiplicities(E[i1], E[i2], stack, G, R) == batched).all()
+            for i3, value in zip(idx.tolist(), batched.tolist()):
+                values = {g: inds[i1](g) * inds[i2](g) * inds[i3](g) for g in G.elements()}
+                direct = inner_product(ClassFunction(G, values, check=False), one)
+                single = trivial_multiplicity(chars[i1], chars[i2], chars[i3], G)
+                assert value == direct == single, (name, i1, i2, i3)
+
+
+def test_kernel_rejects_an_exponent_row_that_is_not_sigma_stable(frobenius21):
+    # lam_1 at sigma(b) replaced by lam_1 at b for one b: no character has
+    # this row, and its sum is not a rational integer
     G = frobenius21
-    chars = characters_of_base(G)
-    one = trivial_class_function(G)
-    for exps in [(1, 2, 4), (1, 1, 5), (3, 5, 6), (0, 1, 2)]:
-        inds = [induced_character(chars[e], G) for e in exps]
-        product = ClassFunction(
-            G,
-            {g: inds[0](g) * inds[1](g) * inds[2](g) for g in G.elements()},
-            check=False,
-        )
-        direct = inner_product(product, one)
-        batched = trivial_multiplicity(chars[exps[0]], chars[exps[1]], chars[exps[2]], G)
-        assert direct == batched
+    E = group_oracle._exponent_table(G)
+    R = group_oracle._remainder_matrix(G.nexp)
+    corrupt = E[1].copy()
+    corrupt[1, 1] = corrupt[0, 1]
+    with pytest.raises(InvariantViolationError):
+        group_oracle._multiplicities(corrupt, E[1], E[:1], G, R)
+    row = G.sigma_index[1]
+    row[1], row[2] = row[2], row[1]
+    lam = CharacterOfA(G, (1,))
+    with pytest.raises(InvariantViolationError):
+        trivial_multiplicity(lam, lam, lam, G)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +390,18 @@ ORBIT_GROUPS = {
     "Z11p5": build_semidirect((11,), ((3,),), 5),
     "Z2xZ4p2": oracle_group(MIXED_MODEL),
 }
+
+
+@pytest.mark.parametrize(
+    "G",
+    [*ORBIT_GROUPS.values(), build_semidirect((1, 3), ((0, 0), (0, 2)), 2)],
+    ids=[*ORBIT_GROUPS, "Z1xZ3p2"],
+)
+def test_sigma_index_is_the_mat_apply_table(G):
+    base = G.base_elements()
+    expected = [[base.index(_mat_apply(m, G.factors, a)) for a in base] for m in G._sigma_powers]
+    assert G.sigma_index == expected
+    assert all(type(i) is int for row in G.sigma_index for i in row)
 
 
 @pytest.mark.parametrize("name", list(ORBIT_GROUPS))

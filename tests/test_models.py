@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from triplepole import (
     build_semidirect,
     validate_relations,
 )
+from triplepole.models import _mat_apply, sigma_powers, sigma_table
 
 from conftest import small_models
 
@@ -133,6 +136,25 @@ def test_sigma_is_additive_hom(m, data):
     a = m.decode(data.draw(st.integers(0, m.order - 1)))
     b = m.decode(data.draw(st.integers(0, m.order - 1)))
     assert m.apply_sigma(m.add(a, b)) == m.add(m.apply_sigma(a), m.apply_sigma(b))
+
+
+@pytest.mark.parametrize(
+    "factors, sigma, p",
+    [
+        ((2, 4), ((1, 1), (0, 1)), 2),
+        ((1, 3), ((0, 0), (0, 2)), 2),  # a factor of 1, as FiniteGroupModel allows
+        ((11,), ((3,),), 5),
+        ((5, 5), ((0, 4), (1, 4)), 3),
+    ],
+)
+def test_sigma_table_matches_mat_apply(factors, sigma, p):
+    powers = sigma_powers(factors, sigma, p)
+    elements = list(itertools.product(*(range(d) for d in factors)))  # mixed radix
+    table = sigma_table(factors, powers)
+    assert table.shape == (p, len(elements))
+    for t, mat in enumerate(powers):
+        for x, a in enumerate(elements):
+            assert elements[table[t, x]] == _mat_apply(mat, factors, a)
 
 
 @given(models_st, st.data())
