@@ -297,7 +297,7 @@ def _constituent_poles(
                 pole = rs_pole_order(c1, right)
             else:
                 right = c2
-                pole = model.pair_pole(c1, c2, chi)
+                pole = model.pair_pole(c1, c2, chi) if c1.degree == c2.degree else 0
             yield RSFactor(j=j, k=k, left=c1, right=right, pole_order=pole)
 
 
@@ -320,11 +320,7 @@ def triple_pole_order(
     """
     _check_triple_inputs(pi1, pi2, chi)
     if pi1.is_induced and pi2.is_induced:
-        t1 = pi1.behavior.theta
-        t2 = pi2.behavior.theta
-        if t1.degree != t2.degree:
-            return 0
-        return matching_matrix(t1, t2, chi).ell
+        return matching_matrix(pi1.behavior.theta, pi2.behavior.theta, chi).ell
     total = sum(f.pole_order for f in _constituent_poles(pi1, pi2, chi))
     if total > 1:
         raise InvariantViolationError(

@@ -10,7 +10,8 @@ Exit codes:
     0  success (including marked reports: violated comparison precondition,
        witness search exhausted)
     2  unusable configuration (bad file, bad JSON, schema violation, config
-       missing a section the command needs)
+       missing a section the command needs) or an `--output` that cannot be
+       written; that error report goes to stdout instead
     3  inputs rejected by a library precondition
     4  a checked invariant failed: integrality or partial-permutation
        violations, oracle disagreement, numeric estimate contradicting the
@@ -345,11 +346,16 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_INTERNAL
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _error_envelope(args, start: float, exc: Exception) -> dict:
+    envelope = _envelope(args.command, args, time.monotonic() - start)
+    envelope["error"] = _error_payload(exc)
+    return envelope
+
+
+def _render(args, envelope: dict) -> str:
+    if args.fmt == "text":
+        return _render_text(args.command, envelope)
+    return json.dumps(envelope, indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,12 +402,15 @@ def main(argv: list[str] | None = None) -> int:
         code = _exit_code(exc)
         if code == EXIT_INTERNAL:
             traceback.print_exc()  # the envelope has no room for where it failed
-        envelope = _envelope(args.command, args, time.monotonic() - start)
-        envelope["error"] = _error_payload(exc)
-    if args.fmt == "text":
-        _emit(_render_text(args.command, envelope), args.output)
-    else:
-        _emit(json.dumps(envelope, indent=2) + "\n", args.output)
+        envelope = _error_envelope(args, start, exc)
+    text = _render(args, envelope)
+    if args.output:
+        try:
+            Path(args.output).write_text(text)
+            return code
+        except OSError as exc:
+            code, text = EXIT_CONFIG, _render(args, _error_envelope(args, start, exc))
+    sys.stdout.write(text)
     return code
 
 

@@ -14,7 +14,7 @@ here uses floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import lcm
 
@@ -23,7 +23,7 @@ import numpy as np
 from .cyclotomic import CyclotomicInt, _poly_rem_monic, cyclotomic_polynomial
 from .errors import InvariantViolationError, ModelMismatchError, PreconditionError
 from .models import AbelianModel, CuspidalLabelK, _mat_apply, sigma_powers, sigma_table
-from .sweep import TripleKernel, pole_orders
+from .sweep import TripleKernel
 
 PAIRING_NOTE = (
     "model elements index base-group characters via the coordinate-wise "
@@ -420,15 +420,7 @@ class OracleComparison:
     group_order: int
 
     def to_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "multiplicity": self.multiplicity,
-            "equal": self.equal,
-            "precondition_violated": self.precondition_violated,
-            "pairing": self.pairing,
-            "p": self.p,
-            "group_order": self.group_order,
-        }
+        return asdict(self)
 
 
 def oracle_group(model: AbelianModel) -> FiniteGroupModel:
@@ -519,8 +511,7 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
 
     mismatches = []
     triples = 0
-    for a, b in kernel.pair_blocks():
-        ells = pole_orders(kernel.chi(a, b), G.base_order)
+    for a, b, _, ells in kernel.blocks():
         mult = M[inducer_at[a][:, None], inducer_at[b][:, None], chi_at]
         triples += ells.size
         for q, c in zip(*np.nonzero(mult != ells)):

@@ -3,23 +3,12 @@ orders, cross-check structural invariants, and collect first witnesses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionError
 from .models import AbelianModel, CyclicData, sigma_table
-
-
-def multiplicative_order(u: int, n: int) -> int:
-    if gcd(u, n) != 1:
-        raise PreconditionError(f"{u} is not a unit mod {n}")
-    k, acc = 1, u % n
-    while acc != 1:
-        acc = (acc * u) % n
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -63,18 +52,9 @@ class SweepReport:
     models: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "complete": self.complete,
-            "triples_examined": self.triples_examined,
-            "max_ell": self.max_ell,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-            "witnesses": self.witnesses,
-            "violations": self.violations,
-            "rigidity_breaches": self.rigidity_breaches,
-            "rng": self.rng,
-            "models": self.models,
-        }
+        out = asdict(self)
+        out["histogram"] = {str(k): v for k, v in sorted(self.histogram.items())}
+        return out
 
 
 # Triples per kernel block: bounds the memory one block of pairs takes.
@@ -105,12 +85,15 @@ class TripleKernel:
         self._coords = [shifted // s % d for d, s in zip(factors, strides)]
         self._neg = [(-np.arange(2 * d - 1)) % d * s for d, s in zip(factors, strides)]
 
-    def pair_blocks(self, npairs: int | None = None):
-        """The first `npairs` pairs (default all m * m) in index order, as
-        (a, b) position arrays of at most a block each."""
+    def blocks(self, npairs: int | None = None):
+        """(a, b, chi, ell) for the first `npairs` pairs (default all m * m)
+        in index order, a block at a time: a and b are position arrays,
+        chi = self.chi(a, b) and ell = pole_orders(chi, n)."""
         total = self.m * self.m if npairs is None else npairs
         for sl in _slices(total, self.n):
-            yield np.divmod(np.arange(sl.start, sl.stop), self.m)
+            a, b = np.divmod(np.arange(sl.start, sl.stop), self.m)
+            chi = self.chi(a, b)
+            yield a, b, chi, pole_orders(chi, self.n)
 
     def chi(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """chi[q, j, k]: index of the chi turning cell (j, k) of pair q on,
@@ -201,10 +184,9 @@ def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
             npairs = (budget.limit - report.triples_examined) // n
             report.complete = False
         chi_moved = ~kernel.invariant if kernel.p == 2 else None
-        for a, b in kernel.pair_blocks(npairs):
-            chi = kernel.chi(a, b)
+        for a, b, chi, ells in kernel.blocks(npairs):
             triple = lambda i, ell: kernel.triple(mi, a[i // n], b[i // n], i % n, ell)
-            _tally(report, pole_orders(chi, n), cell_conflicts(chi, n), chi_moved, triple)
+            _tally(report, ells, cell_conflicts(chi, n), chi_moved, triple)
         report.triples_examined += npairs * n
         if not report.complete:
             break
@@ -264,8 +246,8 @@ def find_witness(
     for mi, model in enumerate(family.models):
         kernel = TripleKernel(model)
         target = model.p if target_ell is None else target_ell
-        for a, b in kernel.pair_blocks():
-            hits = pole_orders(kernel.chi(a, b), kernel.n) == target
+        for a, b, _, ells in kernel.blocks():
+            hits = ells == target
             if require_noninvariant_chi:
                 hits &= ~kernel.invariant
             if hits.any():
@@ -279,7 +261,7 @@ def catalogue_cyclic(p: int, max_group_order: int = 64) -> list[AbelianModel]:
     cyc = CyclicData(p)
     for n in range(2, max_group_order + 1):
         for u in range(2, n):
-            if gcd(u, n) == 1 and multiplicative_order(u, n) == p:
+            if pow(u, p, n) == 1:  # with p prime and u != 1: a unit of order p
                 out.append(AbelianModel(factors=(n,), sigma=((u,),), cyclic=cyc))
     return out
 
@@ -287,31 +269,16 @@ def catalogue_cyclic(p: int, max_group_order: int = 64) -> list[AbelianModel]:
 def catalogue_rank2(p: int, max_side: int = 5) -> list[AbelianModel]:
     out = []
     cyc = CyclicData(p)
+    ident = np.eye(2, dtype=np.int64)
     for d in range(2, max_side + 1):
-        ident = ((1, 0), (0, 1))
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for e in range(d):
-                        m = ((a, b), (c, e))
-                        if m == ident:
-                            continue
-                        power = m
-                        for _ in range(p - 1):
-                            power = (
-                                (
-                                    (power[0][0] * a + power[0][1] * c) % d,
-                                    (power[0][0] * b + power[0][1] * e) % d,
-                                ),
-                                (
-                                    (power[1][0] * a + power[1][1] * c) % d,
-                                    (power[1][0] * b + power[1][1] * e) % d,
-                                ),
-                            )
-                        if power == ident:
-                            out.append(
-                                AbelianModel(factors=(d, d), sigma=m, cyclic=cyc)
-                            )
+        # every 2x2 matrix mod d, lexicographic in its entries (a, b, c, e)
+        mats = np.indices((d,) * 4).reshape(4, -1).T.reshape(-1, 2, 2)
+        power = mats
+        for _ in range(p - 1):
+            power = power @ mats % d
+        keep = (power == ident).all(axis=(1, 2)) & (mats != ident).any(axis=(1, 2))
+        for (a, b), (c, e) in mats[keep].tolist():
+            out.append(AbelianModel(factors=(d, d), sigma=((a, b), (c, e)), cyclic=cyc))
     return out
 
 

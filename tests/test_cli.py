@@ -83,6 +83,31 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["result"]["ell"] == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_file_matches_stdout(tmp_path, capsys, fmt, monkeypatch):
+    monkeypatch.setattr("time.monotonic", lambda: 0.0)  # elapsed_seconds 0
+    argv = ["sweep", "--config", str(CONFIGS / "sweep_small.json"), "--format", fmt]
+    code, out = run_cli(capsys, *argv)
+    out_path = tmp_path / "report"
+    assert run_cli(capsys, *argv, "--output", str(out_path)) == (code, "")
+    assert out_path.read_text() == out
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_reports_on_stdout(tmp_path, capsys, target):
+    path = tmp_path / "no-such-dir" / "x.json" if target == "missing" else tmp_path
+    code, out = run_cli(
+        capsys, "pole-order", "--config", str(CONFIGS / "abelian_z7.json"), "--output", str(path)
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["command"] == "pole-order" and "result" not in report
+    expected = "FileNotFoundError" if target == "missing" else "IsADirectoryError"
+    assert report["error"]["type"] == expected
+    assert str(path) in report["error"]["message"]
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # pole-order / factorize
 
@@ -145,6 +170,25 @@ def test_pole_order_degree_mismatch(capsys):
     assert code == 0
     assert report["result"]["ell"] == 0
     assert report["result"]["matrix"]["true_cells"] == []
+
+
+def test_unvalidated_relation_on_mismatched_degrees_has_no_pole(tmp_path, capsys):
+    # a relation between atoms of degrees 1 and 2 cannot contract: both
+    # subcommands must report ell = 0, and validation still rejects it
+    config = json.loads((CONFIGS / "generic_mismatch.json").read_text())
+    config["model"].update(relations=[[0, 0]], validate=False)
+    path = write_config(tmp_path, config)
+    code, report = run_json(capsys, "pole-order", "--config", path)
+    assert (code, report["result"]["ell"]) == (0, 0)
+    code, report = run_json(capsys, "factorize", "--config", path)
+    assert (code, report["result"]["ell"]) == (0, 0)
+    assert [f["pole_order"] for f in report["result"]["factors"]] == [0] * 9
+    config["model"]["validate"] = True
+    path = write_config(tmp_path, config)
+    for command in ("pole-order", "factorize"):
+        code, report = run_json(capsys, command, "--config", path)
+        assert code == 3
+        assert report["error"]["type"] == "RelationValidationError"
 
 
 def test_pole_order_mixed_base_change(capsys):

@@ -6,6 +6,7 @@ the order-6 dihedral group (Z/3 by negation) and the order-21 Frobenius
 group (Z/7 by doubling).
 """
 
+import importlib
 import itertools
 
 import numpy as np
@@ -40,7 +41,6 @@ from triplepole.group_oracle import (
     trivial_multiplicity,
 )
 from triplepole.models import AbelianModel, CyclicData, _mat_apply
-from triplepole.sweep import TripleKernel
 
 
 @pytest.fixture
@@ -454,15 +454,17 @@ def test_multiplicity_is_constant_on_sigma_orbits(name):
 )
 def test_agreement_sweep_compares_every_triple(model, oracle_sums, monkeypatch):
     # bump the kernel's ell on one triple none of whose labels is its orbit's
-    # representative: the sweep must still report exactly that triple
-    kernel = TripleKernel(model)
+    # representative: the sweep must still report exactly that triple.  The
+    # package exports the function `sweep` under the module's name.
+    sweep_module = importlib.import_module("triplepole.sweep")
+    kernel = sweep_module.TripleKernel(model)
     reps = group_oracle._orbit_reps(oracle_group(model))
     noninv = kernel.noninv.tolist()
     moved = [pos for pos, i in enumerate(noninv) if reps[i] != i]
     a, b = moved[-1], moved[len(moved) // 2]
     c = max(i for i in range(model.order) if reps[i] != i)
     target = a * kernel.m + b
-    real = group_oracle.pole_orders
+    real = sweep_module.pole_orders
     seen = [0]
 
     def bumped(chi, n):
@@ -473,7 +475,7 @@ def test_agreement_sweep_compares_every_triple(model, oracle_sums, monkeypatch):
         seen[0] += len(ells)
         return ells
 
-    monkeypatch.setattr(group_oracle, "pole_orders", bumped)
+    monkeypatch.setattr(sweep_module, "pole_orders", bumped)
     rep = oracle_agreement_sweep(model)
     labels = [model.label(model.decode(i)) for i in (noninv[a], noninv[b], c)]
     ell = matching_matrix(*labels).ell

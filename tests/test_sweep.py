@@ -1,7 +1,10 @@
 """Exhaustive and sampled sweeps over model families, plus the shipped
 model catalogue."""
 
+import importlib
+import itertools
 import json
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,6 @@ from triplepole.sweep import (
     catalogue_rank2,
     cell_conflicts,
     find_witness,
-    multiplicative_order,
     pole_orders,
     shipped_catalogue,
     sweep,
@@ -39,13 +41,6 @@ def m3sq():
     return AbelianModel(factors=(3, 3), sigma=((0, 1), (1, 0)), cyclic=CyclicData(2))
 
 
-def test_multiplicative_order():
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(4, 7) == 3
-    assert multiplicative_order(6, 7) == 2
-    assert multiplicative_order(1, 7) == 1
-
-
 # ---------------------------------------------------------------------------
 # the kernel equals the reference matrix
 
@@ -53,18 +48,32 @@ def test_multiplicative_order():
 def kernel_cells(model):
     """{(theta1, theta2, chi) indices: (on-cells, ell)} from the kernel over
     every pair of non-invariant labels."""
-    kernel = TripleKernel(model)
+    # the package exports the function `sweep` under the module's name
+    sweep_module = importlib.import_module("triplepole.sweep")
+    kernel = sweep_module.TripleKernel(model)
     out = {}
-    for a, b in kernel.pair_blocks():
-        chi = kernel.chi(a, b)
-        ells = pole_orders(chi, model.order)
-        assert not cell_conflicts(chi, model.order).any()
+    for a, b, chi, ells in kernel.blocks():
+        assert not sweep_module.cell_conflicts(chi, model.order).any()
         for q in range(len(a)):
             i1, i2 = int(kernel.noninv[a[q]]), int(kernel.noninv[b[q]])
             for ic in range(model.order):
                 cells = sorted(map(tuple, np.argwhere(chi[q] == ic).tolist()))
                 out[i1, i2, ic] = (cells, int(ells[q, ic]))
     return out
+
+
+@pytest.mark.parametrize("npairs", [None, 0, 1, 519, 520, 1234, 3600])
+def test_blocks_walk_every_pair_once_in_index_order(npairs):
+    # 60 non-invariant labels: 3,600 pairs, 520 to a block
+    kernel = TripleKernel(AbelianModel(factors=(63,), sigma=((4,),), cyclic=CyclicData(3)))
+    blocks = list(kernel.blocks(npairs))
+    total = kernel.m**2 if npairs is None else npairs
+    assert len(blocks) == -(-total // 520)
+    walked = [a * kernel.m + b for a, b, _, _ in blocks]
+    assert np.concatenate(walked or [[]]).tolist() == list(range(total))
+    for a, b, chi, ells in blocks:
+        assert np.array_equal(chi, kernel.chi(a, b))
+        assert np.array_equal(ells, pole_orders(chi, kernel.n))
 
 
 def reference_cells(model, i1, i2, ic):
@@ -303,6 +312,62 @@ def test_witness_skips_to_later_model(m3sq, m7):
 # catalogue
 
 
+def unit_order(u, n):
+    assert gcd(u, n) == 1
+    k, acc = 1, u % n
+    while acc != 1:
+        acc = (acc * u) % n
+        k += 1
+    return k
+
+
+def reference_cyclic(p, max_group_order):
+    """The catalogue's cyclic models, by each unit's multiplicative order."""
+    return [
+        ((n,), ((u,),))
+        for n in range(2, max_group_order + 1)
+        for u in range(2, n)
+        if gcd(u, n) == 1 and unit_order(u, n) == p
+    ]
+
+
+def reference_rank2(p, max_side):
+    """The catalogue's rank-2 models, by a hand-written 2x2 power mod d."""
+    out = []
+    ident = ((1, 0), (0, 1))
+    for d in range(2, max_side + 1):
+        for a, b, c, e in itertools.product(range(d), repeat=4):
+            m = ((a, b), (c, e))
+            power = m
+            for _ in range(p - 1):
+                (w, x), (y, z) = power
+                power = (
+                    ((w * a + x * c) % d, (w * b + x * e) % d),
+                    ((y * a + z * c) % d, (y * b + z * e) % d),
+                )
+            if m != ident and power == ident:
+                out.append(((d, d), m))
+    return out
+
+
+def model_keys(models, p):
+    assert all(m.p == p for m in models)
+    return [(m.factors, m.sigma) for m in models]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_catalogues_equal_reference_builders(p):
+    for side in range(2, 6):
+        assert model_keys(catalogue_rank2(p, side), p) == reference_rank2(p, side)
+    cyclic = reference_cyclic(p, 64)
+    for order in range(2, 65):
+        expected = [key for key in cyclic if key[0][0] <= order]
+        assert model_keys(catalogue_cyclic(p, order), p) == expected
+    for models in (catalogue_rank2(p, 5), catalogue_cyclic(p, 64)):
+        for m in models:
+            assert all(type(x) is int for row in m.sigma for x in row)
+
+
 def test_catalogue_cyclic_members():
     cat = catalogue_cyclic(3, 64)
     assert all(len(m.factors) == 1 and m.p == 3 for m in cat)
@@ -310,7 +375,7 @@ def test_catalogue_cyclic_members():
     sigmas = {(m.factors[0], m.sigma[0][0]) for m in cat}
     assert (7, 2) in sigmas and (7, 4) in sigmas
     for n, u in sigmas:
-        assert multiplicative_order(u, n) == 3
+        assert unit_order(u, n) == 3
 
 
 def test_catalogue_rank2_members():
