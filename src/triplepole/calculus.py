@@ -87,62 +87,26 @@ class InducedFrom:
 @dataclass(frozen=True)
 class CuspidalDatumF:
     """An automorphic datum over the base field, tagged with its base-change
-    behavior.
+    behavior, which fixes its degree and cuspidality.
 
-    `cuspidal` records cuspidality over the base field.  An induced datum is
-    cuspidal exactly when its inducing label is moved by the Galois shift; a
-    stays-cuspidal datum must carry a shift-invariant label of matching
-    degree.  Violations raise PreconditionError at construction.
+    An induced datum has degree p times its inducing label's and is cuspidal
+    exactly when the Galois shift moves that label.  A stays-cuspidal datum
+    has its label's degree, is cuspidal, and must carry a shift-invariant
+    label; otherwise construction raises PreconditionError.
     """
 
-    degree: int
     behavior: StaysCuspidal | InducedFrom
-    cuspidal: bool = True
 
     def __post_init__(self):
         b = self.behavior
-        if isinstance(b, InducedFrom):
-            model = b.theta.model
-            if self.degree != model.p * b.theta.degree:
-                raise PreconditionError(
-                    "induced datum degree must be p times the inducing degree"
-                )
-            invariant = model.is_invariant(b.theta)
-            if self.cuspidal and invariant:
-                raise PreconditionError(
-                    "induction from a shift-invariant label is not cuspidal"
-                )
-            if not self.cuspidal and not invariant:
-                raise PreconditionError(
-                    "induction from a non-invariant label is cuspidal; "
-                    "datum wrongly marked non-cuspidal"
-                )
-        elif isinstance(b, StaysCuspidal):
-            if self.degree != b.label.degree:
-                raise PreconditionError(
-                    "stays-cuspidal datum degree must match its label degree"
-                )
-            if not self.cuspidal:
-                raise PreconditionError("stays-cuspidal datum must be cuspidal")
-            if not b.label.model.is_invariant(b.label):
-                raise PreconditionError(
-                    "stays-cuspidal base change must be shift-invariant"
-                )
-        else:
+        if not isinstance(b, (StaysCuspidal, InducedFrom)):
             raise PreconditionError("behavior must be StaysCuspidal or InducedFrom")
+        if isinstance(b, StaysCuspidal) and not b.label.model.is_invariant(b.label):
+            raise PreconditionError("stays-cuspidal base change must be shift-invariant")
 
     @classmethod
     def stays_cuspidal(cls, label: CuspidalLabelK) -> "CuspidalDatumF":
-        return cls(label.degree, StaysCuspidal(label), cuspidal=True)
-
-    @classmethod
-    def induced_from(cls, theta: CuspidalLabelK) -> "CuspidalDatumF":
-        model = theta.model
-        return cls(
-            model.p * theta.degree,
-            InducedFrom(theta),
-            cuspidal=not model.is_invariant(theta),
-        )
+        return cls(StaysCuspidal(label))
 
     @property
     def model(self):
@@ -153,10 +117,19 @@ class CuspidalDatumF:
     def is_induced(self) -> bool:
         return isinstance(self.behavior, InducedFrom)
 
+    @property
+    def degree(self) -> int:
+        b = self.behavior
+        return self.model.p * b.theta.degree if self.is_induced else b.label.degree
+
+    @property
+    def cuspidal(self) -> bool:
+        return not self.is_induced or not self.model.is_invariant(self.behavior.theta)
+
 
 def automorphic_induction(chi: CuspidalLabelK) -> CuspidalDatumF:
     """The induced datum AI(chi) over the base field."""
-    return CuspidalDatumF.induced_from(chi)
+    return CuspidalDatumF(InducedFrom(chi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +245,8 @@ class RSFactor:
 
     `j` indexes the constituent of the second datum, `k` of the first.  When
     the model supports twisting, `right` already carries the twisting
-    character, so `pole_order` equals rs_pole_order(left, right).
+    character, so `pole_order` equals rs_pole_order(left, right); otherwise
+    it is the model's matching cell (0, 0) of (left, right, chi).
     """
 
     j: int
@@ -297,7 +271,7 @@ def _constituent_poles(
                 pole = rs_pole_order(c1, right)
             else:
                 right = c2
-                pole = model.pair_pole(c1, c2, chi) if c1.degree == c2.degree else 0
+                pole = int(c1.degree == c2.degree and model.matching_cell(c1, c2, chi, 0, 0))
             yield RSFactor(j=j, k=k, left=c1, right=right, pole_order=pole)
 
 

@@ -452,22 +452,12 @@ def oracle_compare(
     lam3 = CharacterOfA(G, chi.payload)
     multiplicity = trivial_multiplicity(lam1, lam2, lam3, G)
     violated = model.is_invariant(theta1) or model.is_invariant(theta2)
-    if violated:
-        return OracleComparison(
-            ell=None,
-            multiplicity=multiplicity,
-            equal=None,
-            precondition_violated=True,
-            pairing=PAIRING_NOTE,
-            p=model.p,
-            group_order=G.order,
-        )
-    ell = matching_matrix(theta1, theta2, chi).ell
+    ell = None if violated else matching_matrix(theta1, theta2, chi).ell
     return OracleComparison(
         ell=ell,
         multiplicity=multiplicity,
-        equal=(ell == multiplicity),
-        precondition_violated=False,
+        equal=None if violated else ell == multiplicity,
+        precondition_violated=violated,
         pairing=PAIRING_NOTE,
         p=model.p,
         group_order=G.order,

@@ -405,15 +405,6 @@ class GenericRelationModel:
         p = self.p
         return ((j + s2 - sc) % p, (k + s1 - sc) % p) in self.relations
 
-    def pair_pole(self, left, right, chi) -> int:
-        """Pole order of the pairing of a first-role label against a
-        second-role label in the presence of the twisting character."""
-        k = self._role_shift(left, self.theta1_id, "first")
-        j = self._role_shift(right, self.theta2_id, "second")
-        sc = self._role_shift(chi, CHI_ATOM_ID, "twisting")
-        p = self.p
-        return 1 if ((j - sc) % p, (k - sc) % p) in self.relations else 0
-
     def describe(self) -> dict:
         return {
             "kind": "generic",

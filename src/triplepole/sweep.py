@@ -3,7 +3,7 @@ orders, cross-check structural invariants, and collect first witnesses."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,8 @@ class SweepBudget:
             raise PreconditionError("limit must be >= 0")
         if self.samples < 0:
             raise PreconditionError("samples must be >= 0")
+        if self.seed < 0:
+            raise PreconditionError("seed must be >= 0")
 
 
 @dataclass
@@ -52,7 +54,7 @@ class SweepReport:
     models: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["histogram"] = {str(k): v for k, v in sorted(self.histogram.items())}
         return out
 

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,10 +9,10 @@ from triplepole import (
     CyclicData,
     GenericAtom,
     GenericRelationModel,
-    InducedFrom,
     IsobaricRep,
     ModelMismatchError,
     PreconditionError,
+    RelationValidationError,
     UnsupportedOperationError,
     automorphic_induction,
     base_change,
@@ -68,24 +71,31 @@ def test_rs_pole_order_unsupported_on_relation_model():
 # Cuspidal data and base change
 
 
-def test_induction_from_invariant_label_is_not_cuspidal(z7_p3):
+def test_induced_degree_and_cuspidality_derive_from_theta(z7_p3):
     ai = automorphic_induction(z7_p3.label([0]))
     assert not ai.cuspidal
     assert ai.degree == 3
-    with pytest.raises(PreconditionError):
-        CuspidalDatumF(3, InducedFrom(z7_p3.label([0])), cuspidal=True)
-
-
-def test_induction_from_moving_label_is_cuspidal(z7_p3):
     ai = automorphic_induction(z7_p3.label([1]))
     assert ai.cuspidal
-    with pytest.raises(PreconditionError):
-        CuspidalDatumF(3, InducedFrom(z7_p3.label([1])), cuspidal=False)
+    assert ai.degree == 3
+    m = GenericRelationModel(
+        cyclic=CyclicData(3),
+        atoms=(GenericAtom("theta1", 2), GenericAtom("theta2", 2, noninvariant=False)),
+        relations=frozenset(),
+        chi_invariant=False,
+    )
+    ai = automorphic_induction(m.theta1_label())
+    assert ai.cuspidal and ai.degree == 6
+    ai = automorphic_induction(m.theta2_label())
+    assert not ai.cuspidal and ai.degree == 6
+    lam = CuspidalDatumF.stays_cuspidal(m.theta2_label())
+    assert lam.cuspidal and lam.degree == 2
+    assert [f.name for f in fields(CuspidalDatumF)] == ["behavior"]
 
 
-def test_induced_degree_checked(z7_p3):
+def test_datum_behavior_type_checked(z7_p3):
     with pytest.raises(PreconditionError):
-        CuspidalDatumF(2, InducedFrom(z7_p3.label([1])), cuspidal=True)
+        CuspidalDatumF(z7_p3.label([1]))
 
 
 def test_stays_cuspidal_requires_invariant_label(z7_p3):
@@ -314,3 +324,47 @@ def test_generic_mixed_case_with_invariant_stable_side():
     assert triple_pole_order(lam, pi2, m.chi_label()) == 1
     fs = factorize(lam, pi2, m.chi_label())
     assert [(f.j, f.pole_order) for f in fs] == [(0, 0), (1, 1), (2, 0)]
+
+
+def _relation_tables(p):
+    cells = [(j, k) for j in range(p) for k in range(p)]
+    for n in range(len(cells) + 1):
+        yield from itertools.combinations(cells, n)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_generic_factor_poles_follow_relations(p):
+    """Reference rule for the relation model: the factor pairing the k-th
+    shift of theta1 with the j-th shift of theta2 under the sc-th shift of
+    chi has a pole exactly when ((j - sc) % p, (k - sc) % p) is a declared
+    relation.  Checked on every relation table the model accepts, with
+    either side induced or staying cuspidal, for every shift of chi."""
+    checked = 0
+    for rels, chi_inv, moves1, moves2 in itertools.product(
+        _relation_tables(p), (False, True), (True, False), (True, False)
+    ):
+        try:
+            m = GenericRelationModel(
+                cyclic=CyclicData(p),
+                atoms=(GenericAtom("theta1", 1, moves1), GenericAtom("theta2", 1, moves2)),
+                relations=frozenset(rels),
+                chi_invariant=chi_inv,
+            )
+        except RelationValidationError:
+            continue
+        pi1, pi2 = (
+            automorphic_induction(lab) if moves else CuspidalDatumF.stays_cuspidal(lab)
+            for lab, moves in ((m.theta1_label(), moves1), (m.theta2_label(), moves2))
+        )
+        for shift in range(p):
+            chi = m.chi_label(shift)
+            sc = chi.payload[1]
+            want = [
+                ((j, k), int(((j - sc) % p, (k - sc) % p) in m.relations))
+                for j in range(p if moves2 else 1)
+                for k in range(p if moves1 else 1)
+            ]
+            got = [((f.j, f.k), f.pole_order) for f in factorize(pi1, pi2, chi)]
+            assert got == want, (rels, chi_inv, moves1, moves2, shift)
+            checked += len(got)
+    assert checked == {2: 180, 3: 1824}[p]

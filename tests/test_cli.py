@@ -304,6 +304,22 @@ def test_sweep_seed_flag_overrides_config(tmp_path, capsys):
     assert report["result"]["triples_examined"] == 200
 
 
+@pytest.mark.parametrize("strategy", ["sample", "exhaustive"])
+def test_sweep_negative_seed_flag_exits_3(tmp_path, capsys, strategy):
+    config = write_config(
+        tmp_path,
+        {
+            "version": 1,
+            "catalogue": {"p_values": [3], "max_group_order": 9},
+            "budget": {"strategy": strategy, "samples": 200},
+        },
+    )
+    code, report = run_json(capsys, "sweep", "--config", config, "--seed", "-1")
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+    assert "seed must be >= 0" in report["error"]["message"]
+
+
 def test_sweep_violations_exit_code(monkeypatch, tmp_path, capsys):
     # The calculus never produces a violation, so force one through the
     # report to pin the exit-code contract.  The handler imports `sweep`

@@ -250,18 +250,29 @@ def test_generic_role_checks():
     m = _rel_model({(0, 1)})
     with pytest.raises(PreconditionError):
         m.matching_cell(m.theta2_label(), m.theta1_label(), m.chi_label(), 0, 0)
-    with pytest.raises(PreconditionError):
-        m.pair_pole(m.theta1_label(), m.chi_label(), m.chi_label())
 
 
-def test_generic_pair_pole_matches_cells():
-    m = _rel_model({(0, 1), (1, 2), (2, 0)})
-    t1, t2, chi = m.theta1_label(), m.theta2_label(), m.chi_label()
-    for j in range(3):
-        for k in range(3):
-            want = 1 if (j, k) in m.relations else 0
-            assert m.pair_pole(m.shift(t1, k), m.shift(t2, j), chi) == want
-            assert m.matching_cell(t1, t2, chi, j, k) == bool(want)
+@pytest.mark.parametrize("chi_invariant", [False, True])
+def test_generic_cells_are_shift_covariant(chi_invariant):
+    """Cell (0, 0) of the shifted labels is cell (j, k) of the unshifted
+    ones, on every relation table the model accepts: the calculus pairs
+    base-changed constituents through this."""
+    cells = list(itertools.product(range(3), repeat=2))
+    tables = 0
+    for n in range(4):
+        for rels in itertools.combinations(cells, n):
+            try:
+                m = _rel_model(rels, chi_invariant=chi_invariant)
+            except RelationValidationError:
+                continue
+            tables += 1
+            t1, t2 = m.theta1_label(), m.theta2_label()
+            for s, j, k in itertools.product(range(3), repeat=3):
+                chi = m.chi_label(s)
+                assert m.matching_cell(m.shift(t1, k), m.shift(t2, j), chi, 0, 0) == (
+                    m.matching_cell(t1, t2, chi, j, k)
+                )
+    assert tables == (4 if chi_invariant else 34)
 
 
 def test_reserved_atom_id():
