@@ -29,13 +29,11 @@ _EXPORTS = {
         "triple_pole_order",
         "twist",
     ),
-    "cyclotomic": ("CyclotomicInt", "cyclotomic_polynomial"),
     "errors": (
         "ConfigError",
         "IndeterminatePoleError",
         "InvariantViolationError",
         "ModelMismatchError",
-        "NotAnIntegerError",
         "PreconditionError",
         "RelationValidationError",
         "TriplePoleError",
@@ -74,18 +72,14 @@ _EXPORTS = {
     ),
     "group_oracle": (
         "CharacterOfA",
-        "ClassFunction",
         "FiniteGroupModel",
         "OracleComparison",
         "build_semidirect",
-        "characters_of_base",
+        "cyclotomic_polynomial",
         "dual_sigma",
-        "induced_character",
-        "inner_product",
         "oracle_agreement_sweep",
         "oracle_compare",
         "oracle_group",
-        "projection_formula_check",
         "projection_formula_sweep",
         "trivial_multiplicity",
     ),

@@ -282,6 +282,17 @@ def _check_triple_inputs(pi1: CuspidalDatumF, pi2: CuspidalDatumF, chi: Cuspidal
         raise PreconditionError("twisting label must have degree 1")
 
 
+def _stable_side_total(factors) -> int:
+    """The pole order when at most one side is induced: the sum of the
+    constituent pairings, which is 0 or 1."""
+    total = sum(f.pole_order for f in factors)
+    if total > 1:
+        raise InvariantViolationError(
+            "a pairing with a cuspidal-stable side cannot contract twice"
+        )
+    return total
+
+
 def triple_pole_order(
     pi1: CuspidalDatumF, pi2: CuspidalDatumF, chi: CuspidalLabelK
 ) -> int:
@@ -295,12 +306,7 @@ def triple_pole_order(
     _check_triple_inputs(pi1, pi2, chi)
     if pi1.is_induced and pi2.is_induced:
         return matching_matrix(pi1.behavior.theta, pi2.behavior.theta, chi).ell
-    total = sum(f.pole_order for f in _constituent_poles(pi1, pi2, chi))
-    if total > 1:
-        raise InvariantViolationError(
-            "a pairing with a cuspidal-stable side cannot contract twice"
-        )
-    return total
+    return _stable_side_total(_constituent_poles(pi1, pi2, chi))
 
 
 def factorize(
@@ -309,15 +315,19 @@ def factorize(
     """Full list of Rankin-Selberg factors of the triple product, one per
     constituent pair after base change.
 
-    The factor pole orders always sum to triple_pole_order; a mismatch is an
-    internal error.
+    The factor pole orders always sum to triple_pole_order: to the matching
+    matrix's count when both sides are induced (a mismatch is an internal
+    error), and otherwise to at most 1, as `triple_pole_order` checks.
     """
     _check_triple_inputs(pi1, pi2, chi)
     factors = list(_constituent_poles(pi1, pi2, chi))
-    total = sum(f.pole_order for f in factors)
-    expected = triple_pole_order(pi1, pi2, chi)
-    if total != expected:
-        raise InvariantViolationError(
-            f"factor poles sum to {total} but the triple pole order is {expected}"
-        )
+    if pi1.is_induced and pi2.is_induced:
+        total = sum(f.pole_order for f in factors)
+        expected = matching_matrix(pi1.behavior.theta, pi2.behavior.theta, chi).ell
+        if total != expected:
+            raise InvariantViolationError(
+                f"factor poles sum to {total} but the triple pole order is {expected}"
+            )
+    else:
+        _stable_side_total(factors)
     return factors

@@ -52,7 +52,6 @@ from .errors import (
     IndeterminatePoleError,
     InvariantViolationError,
     ModelMismatchError,
-    NotAnIntegerError,
     PreconditionError,
     RelationValidationError,
     UnsupportedOperationError,
@@ -341,7 +340,7 @@ def _exit_code(exc: Exception) -> int:
         ),
     ):
         return EXIT_PRECONDITION
-    if isinstance(exc, (InvariantViolationError, NotAnIntegerError)):
+    if isinstance(exc, InvariantViolationError):
         return EXIT_INVARIANT
     return EXIT_INTERNAL
 

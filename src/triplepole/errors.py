@@ -39,18 +39,6 @@ class InvariantViolationError(TriplePoleError):
     """An internal consistency invariant failed; indicates a bug upstream."""
 
 
-class NotAnIntegerError(TriplePoleError):
-    """Cyclotomic value expected to be a rational integer was not.
-
-    `residual` holds the reduced nonconstant remainder polynomial as a
-    coefficient tuple, for diagnosis.
-    """
-
-    def __init__(self, message: str, residual: tuple | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class IndeterminatePoleError(TriplePoleError):
     """Numerical pole test landed between the accept and reject thresholds.
 

@@ -222,10 +222,6 @@ class GaussianHeckeChar:
     def __hash__(self):
         return hash((self.modulus.generator, self.exps))
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
     def value_exponent(self, unit) -> int:
         """Exponent e with value zeta_L^e at a unit residue."""
         coords = self._log.get(unit)
@@ -252,10 +248,6 @@ class GaussianHeckeChar:
         if other.modulus != self.modulus:
             raise PreconditionError("characters live on different moduli")
         exps = tuple((a + b) % t for a, b, t in zip(self.exps, other.exps, self._orders))
-        return GaussianHeckeChar(self.modulus, exps, check=False)
-
-    def inverse(self) -> "GaussianHeckeChar":
-        exps = tuple((-a) % t for a, t in zip(self.exps, self._orders))
         return GaussianHeckeChar(self.modulus, exps, check=False)
 
     def pow(self, k: int) -> "GaussianHeckeChar":

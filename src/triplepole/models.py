@@ -290,9 +290,6 @@ class RelationDiagnostic:
     pairs: tuple[tuple[int, int], ...]
     message: str
 
-    def as_dict(self) -> dict:
-        return {"code": self.code, "pairs": [list(c) for c in self.pairs], "message": self.message}
-
 
 @dataclass(frozen=True)
 class GenericRelationModel:

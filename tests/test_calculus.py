@@ -1,14 +1,16 @@
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import triplepole.calculus as calculus
 from triplepole import (
     CuspidalDatumF,
     CyclicData,
     GenericAtom,
     GenericRelationModel,
+    InvariantViolationError,
     IsobaricRep,
     ModelMismatchError,
     PreconditionError,
@@ -265,6 +267,39 @@ def test_factorize_mixed_case(z7_p3):
     pi2 = automorphic_induction(z7_p3.label([3]))
     fs = factorize(lam, pi2, z7_p3.label([-3]))
     assert [(f.j, f.k, f.pole_order) for f in fs] == [(0, 0, 1), (1, 0, 0), (2, 0, 0)]
+
+
+@pytest.mark.parametrize("mixed", [True, False], ids=["mixed", "both-induced"])
+def test_factorize_walks_the_constituent_pairs_once(z7_p3, monkeypatch, mixed):
+    walks = []
+    real = calculus._constituent_poles
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "_constituent_poles", counted)
+    lam = CuspidalDatumF.stays_cuspidal(z7_p3.label([0]))
+    pi1 = lam if mixed else automorphic_induction(z7_p3.label([1]))
+    pi2 = automorphic_induction(z7_p3.label([3]))
+    fs = factorize(pi1, pi2, z7_p3.label([-3]))
+    assert len(walks) == 1
+    assert len(fs) == (3 if mixed else 9)
+
+
+def test_stable_side_contracting_twice_is_an_invariant_violation(z7_p3, monkeypatch):
+    # factorize and triple_pole_order share the "at most 1" bound
+    real = calculus._constituent_poles
+
+    def every_pair_contracts(*args):
+        return (replace(f, pole_order=1) for f in real(*args))
+
+    monkeypatch.setattr(calculus, "_constituent_poles", every_pair_contracts)
+    lam = CuspidalDatumF.stays_cuspidal(z7_p3.label([0]))
+    pi2 = automorphic_induction(z7_p3.label([3]))
+    for compute in (factorize, triple_pole_order):
+        with pytest.raises(InvariantViolationError, match="cannot contract twice"):
+            compute(lam, pi2, z7_p3.label([-3]))
 
 
 @settings(max_examples=60)

@@ -3,11 +3,12 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from triplepole import InvariantViolationError, NotAnIntegerError, __version__
+from triplepole import InvariantViolationError, __version__
 from triplepole.cli import _exit_code, main
 from triplepole.config import REPORT_VERSION
 
@@ -453,6 +454,48 @@ def test_oracle_compare_gaussian(capsys):
     assert result["group_order"] == 96
 
 
+def abelian_config(tmp_path, factors, sigma, p):
+    return write_config(
+        tmp_path,
+        {
+            "version": 1,
+            "model": {"kind": "abelian", "factors": factors, "sigma": sigma, "p": p},
+            "labels": {"theta1": [1], "theta2": [1], "chi": [0]},
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "factors, sigma",
+    [([30030], [[30029]]), ([100042], [[100041]]), ([300007], [[300006]])],
+    ids=["phi-30030", "phi-100042", "base-600014"],
+)
+def test_oracle_compare_over_the_ceiling_exits_3(tmp_path, capsys, monkeypatch, factors, sigma):
+    # the estimate alone rejects the group: no table of it is built
+    import triplepole.group_oracle as group_oracle
+
+    def no_tables(*args):
+        raise AssertionError("a rejected oracle group built its tables")
+
+    monkeypatch.setattr(group_oracle, "sigma_powers", no_tables)
+    config = abelian_config(tmp_path, factors, sigma, 2)
+    start = time.monotonic()
+    code, report = run_json(capsys, "oracle-compare", "--config", config)
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert report["error"]["type"] == "PreconditionError"
+    assert "over the ceiling" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("factors, sigma", [([10009], [[1044]]), ([100003], [[7120]])])
+def test_oracle_compare_on_a_large_prime_base(tmp_path, capsys, factors, sigma):
+    # one remainder row for a prime exponent; the multiplicity counts the
+    # matching cells of theta1 = theta2 = 1 against chi = 0: none
+    code, report = run_json(capsys, "oracle-compare", "--config", abelian_config(tmp_path, factors, sigma, 3))
+    assert code == 0
+    assert report["result"]["multiplicity"] == report["result"]["ell"] == 0
+
+
 # ---------------------------------------------------------------------------
 # hecke-estimate
 
@@ -565,7 +608,6 @@ def test_unit_ideal_modulus_exits_3(tmp_path, capsys):
 
 def test_invariant_failures_map_to_4():
     assert _exit_code(InvariantViolationError("boom")) == 4
-    assert _exit_code(NotAnIntegerError("boom", residual=(1,))) == 4
 
 
 def test_unexpected_exception_maps_to_6():

@@ -1,8 +1,14 @@
+"""Exact cyclotomic arithmetic: the package's cyclotomic polynomials and
+remainder rows, and the reference ring Z[zeta_n] the tests compare against."""
+
 import pytest
 from hypothesis import given, strategies as st
 
-from triplepole import CyclotomicInt, NotAnIntegerError, cyclotomic_polynomial
-from triplepole.cyclotomic import _poly_mul
+from triplepole import cyclotomic_polynomial
+from triplepole.group_oracle import _poly_mul, _remainder_matrix, _totient
+
+import class_function_oracle
+from class_function_oracle import CyclotomicInt, NotAnInteger, _poly_rem_monic
 
 
 def totient(n):
@@ -32,7 +38,25 @@ def test_cyclotomic_polynomial_table(n, coeffs):
 
 @pytest.mark.parametrize("n", range(1, 40))
 def test_cyclotomic_polynomial_degree_is_totient(n):
-    assert len(cyclotomic_polynomial(n)) - 1 == totient(n)
+    # _totient prices the oracle's reduction before Phi_n is built
+    assert len(cyclotomic_polynomial(n)) - 1 == totient(n) == _totient(n)
+
+
+def test_remainder_rows_match_per_row_reduction():
+    # row e - deg is x^e reduced modulo Phi_n one monomial at a time, for
+    # deg <= e < n; n = 1 has no rows, n = 2 the single row x = -1
+    assert _remainder_matrix(1).shape == (0, 1)
+    assert _remainder_matrix(2).tolist() == [[-1]]
+    for n in range(1, 130):
+        phi = list(cyclotomic_polynomial(n))
+        deg = len(phi) - 1
+        expected = []
+        for e in range(deg, n):
+            rem = _poly_rem_monic([0] * e + [1], phi)
+            expected.append(rem + [0] * (deg - len(rem)))
+        R = _remainder_matrix(n)
+        assert R.shape == (n - deg, deg), n
+        assert R.tolist() == expected, n
 
 
 @pytest.mark.parametrize("n", range(1, 30))
@@ -58,7 +82,7 @@ def test_fourth_root_squares_to_minus_one():
 
 def test_fifth_root_is_not_an_integer():
     z = CyclotomicInt.root(5)
-    with pytest.raises(NotAnIntegerError) as exc:
+    with pytest.raises(NotAnInteger) as exc:
         z.as_integer()
     assert exc.value.residual is not None
     assert len(exc.value.residual) > 1
@@ -131,7 +155,7 @@ def test_conjugation_is_a_ring_involution(a, data):
 def test_integer_certification_round_trip(a):
     try:
         v = a.as_integer()
-    except NotAnIntegerError:
+    except NotAnInteger:
         return
     assert a == CyclotomicInt.one(a.order) * v
 
@@ -139,8 +163,9 @@ def test_integer_certification_round_trip(a):
 def test_module_doctests():
     import doctest
 
-    import triplepole.cyclotomic
+    import triplepole.group_oracle
 
-    result = doctest.testmod(triplepole.cyclotomic)
-    assert result.attempted > 0
-    assert result.failed == 0
+    for module in (triplepole.group_oracle, class_function_oracle):
+        result = doctest.testmod(module)
+        assert result.attempted > 0
+        assert result.failed == 0

@@ -3,7 +3,9 @@ agreement with the matching-matrix calculus.
 
 The frozen values here were computed by hand from the character table of
 the order-6 dihedral group (Z/3 by negation) and the order-21 Frobenius
-group (Z/7 by doubling).
+group (Z/7 by doubling).  Group law, character values, induction and inner
+products are those of the reference oracle in `class_function_oracle`,
+against which the package's kernel is compared.
 """
 
 import importlib
@@ -16,7 +18,6 @@ from hypothesis import strategies as st
 
 import triplepole.group_oracle as group_oracle
 from triplepole.calculus import matching_matrix
-from triplepole.cyclotomic import CyclotomicInt
 from triplepole.errors import (
     InvariantViolationError,
     ModelMismatchError,
@@ -26,21 +27,33 @@ from triplepole.gauss import GaussianModulus, HeckeGaussianModel
 from triplepole.group_oracle import (
     PAIRING_NOTE,
     CharacterOfA,
-    ClassFunction,
     build_semidirect,
-    characters_of_base,
     dual_sigma,
-    induced_character,
-    inner_product,
     oracle_agreement_sweep,
     oracle_compare,
     oracle_group,
-    projection_formula_check,
     projection_formula_sweep,
-    trivial_class_function,
     trivial_multiplicity,
 )
-from triplepole.models import AbelianModel, CyclicData, _mat_apply
+from triplepole.models import AbelianModel, CyclicData, _mat_apply, sigma_powers
+
+from class_function_oracle import (
+    ClassFunction,
+    CyclotomicInt,
+    character_order,
+    characters_of_base,
+    conjugacy_classes,
+    elements,
+    identity,
+    induced_character,
+    inner_product,
+    inv,
+    mul,
+    projection_formula_check,
+    sigma_apply,
+    trivial_class_function,
+    value,
+)
 
 
 @pytest.fixture
@@ -120,7 +133,7 @@ def test_group_orders(dihedral6, frobenius21):
 def test_direct_product_allowed():
     g = build_semidirect((5,), ((1,),), 3)
     assert g.order == 15
-    assert g.mul(((2,), 1), ((4,), 2)) == ((1,), 0)
+    assert mul(g, ((2,), 1), ((4,), 2)) == ((1,), 0)
 
 
 def test_sigma_order_must_divide_p():
@@ -130,31 +143,31 @@ def test_sigma_order_must_divide_p():
 
 def test_group_axioms_spot_check(frobenius21):
     G = frobenius21
-    elems = G.elements()
+    elems = elements(G)
     assert len(elems) == 21
-    e = G.identity
+    e = identity(G)
     sample = elems[::4]
     for g in sample:
-        assert G.mul(g, e) == g
-        assert G.mul(e, g) == g
-        assert G.mul(g, G.inv(g)) == e
+        assert mul(G, g, e) == g
+        assert mul(G, e, g) == g
+        assert mul(G, g, inv(G, g)) == e
     for g in sample:
         for h in sample:
             for k in sample:
-                assert G.mul(G.mul(g, h), k) == G.mul(g, G.mul(h, k))
+                assert mul(G, mul(G, g, h), k) == mul(G, g, mul(G, h, k))
 
 
 def test_conjugation_twists_the_base(dihedral6):
     G = dihedral6
     s = ((0,), 1)
     a = ((1,), 0)
-    assert G.mul(G.mul(s, a), G.inv(s)) == ((2,), 0)
+    assert mul(G, mul(G, s, a), inv(G, s)) == ((2,), 0)
 
 
 def test_conjugacy_classes(dihedral6, frobenius21):
-    sizes = sorted(len(c) for c in dihedral6.conjugacy_classes)
+    sizes = sorted(len(c) for c in conjugacy_classes(dihedral6))
     assert sizes == [1, 2, 3]
-    sizes21 = sorted(len(c) for c in frobenius21.conjugacy_classes)
+    sizes21 = sorted(len(c) for c in conjugacy_classes(frobenius21))
     assert sizes21 == [1, 3, 3, 7, 7]
 
 
@@ -164,8 +177,8 @@ def test_conjugacy_classes(dihedral6, frobenius21):
 
 def test_character_values_are_roots(dihedral6):
     omega = CharacterOfA(dihedral6, (1,))
-    assert omega.value((0,)) == CyclotomicInt.one(3)
-    assert omega.value((1,)) == CyclotomicInt.root(3, 1)
+    assert value(omega, (0,)) == CyclotomicInt.one(3)
+    assert value(omega, (1,)) == CyclotomicInt.root(3, 1)
     assert omega.value_exponent((2,)) == 2
 
 
@@ -178,9 +191,9 @@ def test_character_is_multiplicative(frobenius21):
 
 
 def test_character_orders(dihedral6):
-    assert CharacterOfA(dihedral6, (0,)).order == 1
-    assert CharacterOfA(dihedral6, (1,)).order == 3
-    assert CharacterOfA(dihedral6, (2,)).order == 3
+    assert character_order(CharacterOfA(dihedral6, (0,))) == 1
+    assert character_order(CharacterOfA(dihedral6, (1,))) == 3
+    assert character_order(CharacterOfA(dihedral6, (2,))) == 3
 
 
 def test_characters_of_base_are_distinct(dihedral6):
@@ -219,7 +232,7 @@ def test_induction_restricts_to_orbit_sum(frobenius21):
     for a in G.base_elements():
         orbit_sum = CyclotomicInt.zero(G.nexp)
         for t in range(G.p):
-            orbit_sum = orbit_sum + lam.value(G.sigma_apply(a, t))
+            orbit_sum = orbit_sum + value(lam, sigma_apply(G, a, t))
         assert ind((a, 0)) == orbit_sum
 
 
@@ -298,7 +311,7 @@ def test_multiplicity_matches_honest_inner_product(monkeypatch):
                 m.setattr(group_oracle, "_BLOCK_ENTRIES", 1)
                 assert (group_oracle._multiplicities(E[i1], E[i2], stack, G, R) == batched).all()
             for i3, value in zip(idx.tolist(), batched.tolist()):
-                values = {g: inds[i1](g) * inds[i2](g) * inds[i3](g) for g in G.elements()}
+                values = {g: inds[i1](g) * inds[i2](g) * inds[i3](g) for g in elements(G)}
                 direct = inner_product(ClassFunction(G, values, check=False), one)
                 single = trivial_multiplicity(chars[i1], chars[i2], chars[i3], G)
                 assert value == direct == single, (name, i1, i2, i3)
@@ -346,24 +359,15 @@ def test_projection_formula_sweep_mixed_factors():
     assert r["failures"] == []
 
 
-def test_projection_sweep_falls_back_to_exact_check(monkeypatch):
+def test_projection_sweep_rejects_an_unstable_sigma_index():
     # swapping two images of sigma in the index table (not in the group
-    # itself) breaks the stability test; the statements of the failing
-    # representatives go to the exact check, which holds on the true group
-    exact_checks = []
-    real_check = group_oracle.projection_formula_check
-
-    def spy(V, W, group):
-        exact_checks.append(W.exponents)
-        return real_check(V, W, group)
-
-    monkeypatch.setattr(group_oracle, "projection_formula_check", spy)
+    # itself) breaks the stability test, which the sweep reports as a broken
+    # invariant instead of certifying anything
     G = build_semidirect((7,), ((2,),), 3)
     row = G.sigma_index[1]
     row[1], row[2] = row[2], row[1]
-    rep = projection_formula_sweep(G)
-    assert rep == {"checked": 49, "statements": 9, "failures": []}
-    assert exact_checks
+    with pytest.raises(InvariantViolationError, match="not sigma-stable"):
+        projection_formula_sweep(G)
 
 
 def test_projection_formula_detects_corruption(dihedral6):
@@ -399,9 +403,24 @@ ORBIT_GROUPS = {
 )
 def test_sigma_index_is_the_mat_apply_table(G):
     base = G.base_elements()
-    expected = [[base.index(_mat_apply(m, G.factors, a)) for a in base] for m in G._sigma_powers]
+    powers = sigma_powers(G.factors, G.sigma, G.p)
+    expected = [[base.index(_mat_apply(m, G.factors, a)) for a in base] for m in powers]
     assert G.sigma_index == expected
     assert all(type(i) is int for row in G.sigma_index for i in row)
+
+
+@pytest.mark.parametrize("name", list(ORBIT_GROUPS))
+def test_projection_formula_holds_on_every_pair(name):
+    # the sweep proves one statement per pair of orbits through its
+    # sigma-stability test; the literal value-by-value identity must hold on
+    # every pair that statement covers
+    G = ORBIT_GROUPS[name]
+    chars = characters_of_base(G)
+    assert projection_formula_sweep(G)["checked"] == len(chars) ** 2
+    for v in chars:
+        V = induced_character(v, G)
+        for w in chars:
+            assert projection_formula_check(V, w, G), (name, v.exponents, w.exponents)
 
 
 @pytest.mark.parametrize("name", list(ORBIT_GROUPS))
@@ -417,7 +436,7 @@ def test_multiplicity_is_constant_on_sigma_orbits(name):
     # shift[i]: the index of lam_i o sigma, found by evaluating it
     shift = []
     for lam in chars:
-        moved = [lam.value_exponent(G.sigma_apply(a)) for a in base]
+        moved = [lam.value_exponent(_mat_apply(G.sigma, G.factors, a)) for a in base]
         j = values.index(moved)
         assert chars[j].exponents == _mat_apply(dual, G.factors, lam.exponents)
         shift.append(j)

@@ -1,11 +1,14 @@
-"""Source hygiene: no module imports a name it never uses, and no error
-class is defined that nothing raises.
+"""Source hygiene: no module imports a name it never uses, no error class
+is defined that nothing raises, and nothing is defined that nothing reads.
 
 Every `.py` file under `src/`, `tests/` and `scripts/` is parsed with `ast`.
 A name bound by an import must be read somewhere in the same file.  Imports
 in a package `__init__.py` are its public re-exports and are skipped, as
 are names listed in a module's `__all__`.  Every class in `errors.py` must
-be raised under `src/`, or be a base of a class that is.
+be raised under `src/`, or be a base of a class that is.  Every function,
+method and class defined under `src/` must be public (a name in the
+package's `_EXPORTS`) or have its name read under `src/`, `perfbench/` or
+`scripts/`; tests do not count as readers.
 """
 
 import ast
@@ -127,3 +130,79 @@ def test_error_checker_follows_raises_and_bases():
         "def h():\n    try:\n        pass\n    except Mentioned:\n        raise\n",
     ]
     assert unraised_errors(errors, sources) == ["Mentioned", "Unused"]
+
+
+def read_names(sources: list[str]) -> set[str]:
+    """Every name the sources read: loaded names and attributes, and string
+    constants (a name handed to getattr or a tracer by string)."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def unread_definitions(source: str, readers: set[str], public: set[str]) -> list[str]:
+    """Functions, methods and classes defined in `source`, dunder methods
+    aside, whose name is neither in `readers` nor in `public`."""
+    defined = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in sorted(defined, key=lambda node: node.lineno)
+        if node.name not in readers | public
+    ]
+
+
+def package_exports() -> set[str]:
+    """The names listed in `_EXPORTS` of the package `__init__.py`."""
+    tree = ast.parse((ROOT / "src" / "triplepole" / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets
+        ):
+            return {elt.value for names in node.value.values for elt in names.elts}
+    raise AssertionError("no _EXPORTS in the package __init__")
+
+
+def test_every_definition_is_read_or_exported():
+    readers = read_names(
+        [path.read_text() for folder in ("src", "perfbench", "scripts")
+         for path in (ROOT / folder).rglob("*.py")]
+    )
+    public = package_exports()
+    unread = {
+        str(path.relative_to(ROOT)): found
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (found := unread_definitions(path.read_text(), readers, public))
+    }
+    assert unread == {}
+
+
+def test_definition_checker_counts_reads_not_definitions():
+    source = (
+        "class Kept:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def called(self):\n        pass\n"
+        "    def unread(self):\n        pass\n"
+        "def by_string():\n    pass\n"
+        "def exported():\n    pass\n"
+        "def stored():\n    pass\n"
+    )
+    readers = read_names([
+        source,
+        "Kept().called()\ngetattr(mod, 'by_string')\nobj.stored = 1\nstored = 2\n",
+    ])
+    assert unread_definitions(source, readers, {"exported"}) == [
+        "line 6: unread",
+        "line 12: stored",
+    ]
