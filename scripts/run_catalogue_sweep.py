@@ -1,9 +1,14 @@
 """Exhaustive pole-order sweep over the shipped model catalogue.
 
-Walks every (theta1, theta2, chi) triple of every catalogue model, checks the
-partial-permutation shape and the p bound on each matching matrix, and prints
-the pole-order histogram.  Any violation or quadratic-rigidity breach is a
-bug in the calculus and exits nonzero.
+Determines the pole order of every (theta1, theta2, chi) triple of every
+catalogue model, checks the partial-permutation shape and the p bound on each
+matching matrix, and prints the pole-order histogram.  Shifting theta1 or
+theta2 by sigma only permutes the rows and columns of the matching matrix, so
+the sweep evaluates one (theta1, theta2) pair per sigma x sigma orbit and
+counts it once for each of the orbit's p * p pairs: "examined" counts every
+triple, 18,048,156 on the default catalogue, though only about one in p * p
+is evaluated.  Any violation or quadratic-rigidity breach is a bug in the
+calculus and exits 1, reported for every triple of the orbit it was found in.
 """
 
 import argparse

@@ -239,9 +239,24 @@ def trivial_multiplicity(
 _BLOCK_ENTRIES = 1 << 17
 
 
+# Ceiling on the exponent table of `oracle_agreement_sweep` and
+# `projection_formula_sweep`: p * |A|^2 int64 entries, checked before the
+# table is built.  Their largest temporaries are a few times this size.
+ORACLE_MAX_EXPONENT_ENTRIES = 1 << 22
+
+
 def _exponent_table(group: FiniteGroupModel) -> np.ndarray:
     """E[lam, t, b]: exponent of base character lam at sigma^t of base
-    element b, characters and elements in mixed-radix index order."""
+    element b, characters and elements in mixed-radix index order.  A table
+    of over ORACLE_MAX_EXPONENT_ENTRIES entries raises PreconditionError
+    before anything is allocated."""
+    entries = group.p * group.base_order**2
+    if entries > ORACLE_MAX_EXPONENT_ENTRIES:
+        raise PreconditionError(
+            f"sweeping the oracle group of factors {list(group.factors)} and p = {group.p} "
+            f"needs an exponent table of {entries} entries, over the ceiling of "
+            f"{ORACLE_MAX_EXPONENT_ENTRIES}"
+        )
     coords = np.array(group.base_elements(), dtype=np.int64)
     weights = np.array([group.nexp // d for d in group.factors], dtype=np.int64)
     return ((coords * weights) @ coords.T % group.nexp)[:, np.array(group.sigma_index)]
@@ -339,7 +354,8 @@ def projection_formula_sweep(group: FiniteGroupModel) -> dict:
     p powers as sigma^s, so every group the constructors build passes it.
     A representative that fails it (only a hand-edited sigma_index can)
     raises InvariantViolationError.  `failures` is therefore always empty;
-    the key stays for readers of the report.
+    the key stays for readers of the report.  A group whose exponent table
+    is over ORACLE_MAX_EXPONENT_ENTRIES raises PreconditionError first.
     """
     nbase = group.base_order
     sig = np.array(group.sigma_index, dtype=np.int64)  # (p, nbase)
@@ -432,7 +448,11 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     chi in one `_multiplicities` call (`oracle_sums` counts the pairs:
     k(k+1)/2 for k representatives), and written to both cells of the
     table.  Every triple is then compared with the kernel's pole order
-    through its representatives, in (theta1, theta2, chi) index order.
+    through its representatives, in (theta1, theta2, chi) index order: the
+    kernel's full walk, which also checks on every triple the orbit
+    invariance that the exhaustive `sweep` relies on.  A model whose
+    exponent table is over ORACLE_MAX_EXPONENT_ENTRIES raises
+    PreconditionError before the table is built.
     """
     G = oracle_group(model)
     E = _exponent_table(G)  # characters indexed as model elements

@@ -70,6 +70,13 @@ class TripleKernel:
     lists the indices of the labels the shift moves, and a pair (a, b) of
     positions in it stands for theta1 = noninv[a], theta2 = noninv[b].
     Pairs are numbered a * m + b, which is (theta1, theta2) index order.
+
+    The grid of the pair (shift^s theta1, shift^t theta2) is the grid of
+    (theta1, theta2) with its rows and columns shifted cyclically, chi'[j, k]
+    = chi[j + t, k + s] mod p, so every pair of a shift x shift orbit has the
+    same pole orders and cell conflicts for each chi.  ``orbit[a, t]`` is the
+    position of shift^t(noninv[a]); p is prime, so the p positions of a row
+    are distinct, and ``rep[a]``, the least of them, stands for the orbit.
     """
 
     def __init__(self, model: AbelianModel):
@@ -81,21 +88,40 @@ class TripleKernel:
         self.invariant = index[1] == np.arange(self.n)
         self.noninv = np.flatnonzero(~self.invariant)
         self.m = len(self.noninv)
+        shifted = index[:, self.noninv].T
+        self.orbit = np.searchsorted(self.noninv, shifted)
+        self.rep = self.orbit.min(axis=1)
         # per coordinate: the shifted coordinate of each non-invariant label,
         # shape (m, p), and -x mod d times the stride for a sum x of two
-        shifted = index[:, self.noninv].T
         self._coords = [shifted // s % d for d, s in zip(factors, strides)]
         self._neg = [(-np.arange(2 * d - 1)) % d * s for d, s in zip(factors, strides)]
 
-    def blocks(self, npairs: int | None = None):
-        """(a, b, chi, ell) for the first `npairs` pairs (default all m * m)
-        in index order, a block at a time: a and b are position arrays,
-        chi = self.chi(a, b) and ell = pole_orders(chi, n)."""
-        total = self.m * self.m if npairs is None else npairs
-        for sl in _slices(total, self.n):
-            a, b = np.divmod(np.arange(sl.start, sl.stop), self.m)
+    def blocks(self, pairs: np.ndarray | None = None):
+        """(a, b, chi, ell) for the pairs numbered by the sorted array `pairs`
+        (default all m * m) in order, a block at a time: a and b are position
+        arrays, chi = self.chi(a, b) and ell = pole_orders(chi, n)."""
+        if pairs is None:
+            pairs = np.arange(self.m * self.m)
+        for sl in _slices(len(pairs), self.n):
+            a, b = np.divmod(pairs[sl], self.m)
             chi = self.chi(a, b)
             yield a, b, chi, pole_orders(chi, self.n)
+
+    def pair_weights(self, npairs: int | None = None) -> np.ndarray:
+        """w[q] for every pair number q: how many of the first `npairs` pairs
+        (default all m * m) have pair q, (rep[a], rep[b]), as their orbit's
+        representative.  A representative is the least pair of its orbit, so
+        w is nonzero exactly at the representatives the prefix reaches, and
+        is p * p at each of them when the prefix is every pair."""
+        reps = (self.rep[:, None] * self.m + self.rep).ravel()[:npairs]
+        return np.bincount(reps, minlength=self.m * self.m)
+
+    def orbit_members(self, pairs: np.ndarray) -> np.ndarray:
+        """members[i]: the p * p pair numbers of the orbit of pair pairs[i],
+        (shift^s theta1, shift^t theta2) at s * p + t."""
+        a, b = np.divmod(pairs, self.m)
+        members = self.orbit[a][:, :, None] * self.m + self.orbit[b][:, None, :]
+        return members.reshape(len(pairs), -1)
 
     def chi(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """chi[q, j, k]: index of the chi turning cell (j, k) of pair q on,
@@ -143,23 +169,31 @@ def cell_conflicts(chi: np.ndarray, n: int) -> np.ndarray:
     return bad
 
 
-def _tally(report: SweepReport, ells, bad, chi_moved, triple) -> None:
-    """Add a run of triples, handed over in index order, to `report`: `ells`
-    and the `bad` mask cover the run, `chi_moved` (p = 2 only, else None)
-    marks its non-invariant chi, `triple(i, ell)` renders flat index i."""
+def _tally(report: SweepReport, ells, bad, chi_moved, triple, weights=None):
+    """Add a run of triples, handed over in index order, to the histogram and
+    witnesses of `report`: `ells` and the `bad` mask cover the run,
+    `chi_moved` (p = 2 only, else None) marks its non-invariant chi,
+    `triple(i, ell)` renders flat index i, and `weights[r]` (default 1) is
+    the number of triples each triple of row r stands for.  Returns the flat
+    indices of the run's violations, which the histogram leaves out, and of
+    its rigidity breaches."""
     if bad.any():
-        report.violations.extend(triple(i, ells.flat[i]) for i in np.flatnonzero(bad))
         ells = np.where(bad, -1, ells)
-    counts = np.bincount(ells.ravel() + 1)[1:]  # violations fall in the dropped bin
-    for ell in np.flatnonzero(counts).tolist():
-        report.histogram[ell] = report.histogram.get(ell, 0) + int(counts[ell])
-        if all(w["ell"] != ell for w in report.witnesses):
-            report.witnesses.append(triple(int(np.argmax(ells == ell)), ell))
-            report.witnesses.sort(key=lambda w: w["ell"])
-    if chi_moved is not None:
-        breach = np.flatnonzero((ells >= 2) & chi_moved)
-        report.rigidity_breaches.extend(triple(i, ells.flat[i]) for i in breach)
+    if weights is None:
+        weights = np.ones(len(ells), dtype=np.intp)
+    # one unweighted bincount per distinct weight, as a weighted one is
+    # slower; violations fall in the dropped bin
+    for w in np.flatnonzero(np.bincount(weights)).tolist():
+        counts = np.bincount(ells[weights == w].ravel() + 1)[1:]
+        for ell in np.flatnonzero(counts).tolist():
+            report.histogram[ell] = report.histogram.get(ell, 0) + w * int(counts[ell])
+    for ell in sorted(report.histogram.keys() - {w["ell"] for w in report.witnesses}):
+        report.witnesses.append(triple(int(np.argmax(ells == ell)), ell))
+    report.witnesses.sort(key=lambda w: w["ell"])
     report.max_ell = max(report.histogram, default=0)
+    if chi_moved is None:
+        return np.flatnonzero(bad), []
+    return np.flatnonzero(bad), np.flatnonzero((ells >= 2) & chi_moved)
 
 
 def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
@@ -172,6 +206,15 @@ def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
     Witnesses record the first triple attaining each distinct pole order, in
     (model, theta1, theta2, chi) index order (in draw order when sampled).
     An exhaustive `limit` stops at the last whole pair that fits.
+
+    The exhaustive sweep evaluates one representative pair per shift x shift
+    orbit (see `TripleKernel`), weighted by the orbit's pairs inside the
+    walked prefix; `triples_examined` still counts every triple whose pole
+    order it determined.  The first pair of a pole order is a
+    representative, so the witnesses are those of the full walk, and a
+    violation or breach found on a representative is reported for every
+    member of its orbit inside the prefix, at the same chi, in (theta1,
+    theta2, chi) index order.
     """
     if budget.strategy == "sample":
         return _sweep_sampled(family, budget)
@@ -185,14 +228,37 @@ def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
         if budget.limit is not None and report.triples_examined + npairs * n > budget.limit:
             npairs = (budget.limit - report.triples_examined) // n
             report.complete = False
+        weights = kernel.pair_weights(npairs)
         chi_moved = ~kernel.invariant if kernel.p == 2 else None
-        for a, b, chi, ells in kernel.blocks(npairs):
+        found = ([], [])  # (pair, c, ell) of the violations and breaches seen
+        for a, b, chi, ells in kernel.blocks(np.flatnonzero(weights)):
+            pairs = a * kernel.m + b
             triple = lambda i, ell: kernel.triple(mi, a[i // n], b[i // n], i % n, ell)
-            _tally(report, ells, cell_conflicts(chi, n), chi_moved, triple)
+            bad = cell_conflicts(chi, n)
+            flagged = _tally(report, ells, bad, chi_moved, triple, weights[pairs])
+            for out, flat in zip(found, flagged):
+                if len(flat):
+                    out.append((pairs[flat // n], flat % n, ells.flat[flat]))
+        report.violations.extend(_spread(kernel, mi, npairs, found[0]))
+        report.rigidity_breaches.extend(_spread(kernel, mi, npairs, found[1]))
         report.triples_examined += npairs * n
         if not report.complete:
             break
     return report
+
+
+def _spread(kernel: TripleKernel, mi: int, npairs: int, found: list) -> list[dict]:
+    """The triples (pair, c, ell) found on representatives, rendered for
+    every member of their orbits among the first `npairs` pairs, at the same
+    c, in (pair, c) index order."""
+    if not found:
+        return []
+    pairs, c, ell = (np.concatenate(x) for x in zip(*found))
+    members = kernel.orbit_members(pairs)
+    rows, cols = np.nonzero(members < npairs)
+    q, c, ell = members[rows, cols], c[rows], ell[rows]
+    a, b = np.divmod(q, kernel.m)
+    return [kernel.triple(mi, a[i], b[i], c[i], ell[i]) for i in np.lexsort((c, q))]
 
 
 def _sweep_sampled(family: SweepFamily, budget: SweepBudget) -> SweepReport:
@@ -231,7 +297,9 @@ def _sweep_sampled(family: SweepFamily, budget: SweepBudget) -> SweepReport:
         models=[m.describe() for m in family.models],
     )
     triple = lambda s, ell: kernels[mis[s]].triple(int(mis[s]), a[s], b[s], c[s], ell)
-    _tally(report, ells, bad, chi_moved, triple)
+    violations, breaches = _tally(report, ells, bad, chi_moved, triple)
+    report.violations = [triple(s, ells[s]) for s in violations]
+    report.rigidity_breaches = [triple(s, ells[s]) for s in breaches]
     return report
 
 
@@ -242,13 +310,15 @@ def find_witness(
 ) -> dict | None:
     """First triple (model, theta1, theta2, chi in index order) whose pole
     order equals `target_ell` (default: the model's p, the sharp bound).
+    Only the representative pairs of the shift x shift orbits are evaluated:
+    the first pair of a pole order is one of them (see `sweep`).
 
     Returns None when the family contains no such triple.
     """
     for mi, model in enumerate(family.models):
         kernel = TripleKernel(model)
         target = model.p if target_ell is None else target_ell
-        for a, b, _, ells in kernel.blocks():
+        for a, b, _, ells in kernel.blocks(np.flatnonzero(kernel.pair_weights())):
             hits = ells == target
             if require_noninvariant_chi:
                 hits &= ~kernel.invariant

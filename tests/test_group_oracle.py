@@ -10,6 +10,7 @@ against which the package's kernel is compared.
 
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from triplepole.group_oracle import (
     trivial_multiplicity,
 )
 from triplepole.models import AbelianModel, CyclicData, _mat_apply, sigma_powers
+from triplepole.sweep import shipped_catalogue
 
 from class_function_oracle import (
     ClassFunction,
@@ -368,6 +370,38 @@ def test_projection_sweep_rejects_an_unstable_sigma_index():
     row[1], row[2] = row[2], row[1]
     with pytest.raises(InvariantViolationError, match="not sigma-stable"):
         projection_formula_sweep(G)
+
+
+def test_oracle_sweeps_price_their_exponent_table(monkeypatch):
+    # every catalogue model and Gaussian test model is admitted
+    models = list(shipped_catalogue().models)
+    models += [HeckeGaussianModel(GaussianModulus((m, 0))) for m in (3, 5, 7)]
+    ceiling = group_oracle.ORACLE_MAX_EXPONENT_ENTRIES
+    assert max(m.p * m.order**2 for m in models) <= ceiling
+
+    # (2003,) at p = 2 is a small group with a table of 2 * 2003^2 entries:
+    # both sweeps reject it before building anything quadratic
+    model = AbelianModel(factors=(2003,), sigma=((2002,),), cyclic=CyclicData(2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="8024018 entries, over the ceiling"):
+            oracle_agreement_sweep(model)
+        with pytest.raises(PreconditionError, match="over the ceiling"):
+            projection_formula_sweep(oracle_group(model))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22  # bytes: the group's own tables, not the 64 MB exponent table
+
+    # the estimate is p * |A|^2 exactly: admitted at the ceiling, not above
+    z7 = AbelianModel(factors=(7,), sigma=((2,),), cyclic=CyclicData(3))
+    monkeypatch.setattr(group_oracle, "ORACLE_MAX_EXPONENT_ENTRIES", 3 * 7**2)
+    assert oracle_agreement_sweep(z7)["mismatches"] == []
+    monkeypatch.setattr(group_oracle, "ORACLE_MAX_EXPONENT_ENTRIES", 3 * 7**2 - 1)
+    with pytest.raises(PreconditionError, match="147 entries"):
+        oracle_agreement_sweep(z7)
+    with pytest.raises(PreconditionError, match="147 entries"):
+        projection_formula_sweep(oracle_group(z7))
 
 
 def test_projection_formula_detects_corruption(dihedral6):

@@ -66,7 +66,7 @@ def kernel_cells(model):
 def test_blocks_walk_every_pair_once_in_index_order(npairs):
     # 60 non-invariant labels: 3,600 pairs, 520 to a block
     kernel = TripleKernel(AbelianModel(factors=(63,), sigma=((4,),), cyclic=CyclicData(3)))
-    blocks = list(kernel.blocks(npairs))
+    blocks = list(kernel.blocks(None if npairs is None else np.arange(npairs)))
     total = kernel.m**2 if npairs is None else npairs
     assert len(blocks) == -(-total // 520)
     walked = [a * kernel.m + b for a, b, _, _ in blocks]
@@ -239,6 +239,153 @@ def test_report_is_json_serializable(m7):
     rep = sweep(SweepFamily(models=(m7,)), SweepBudget(strategy="exhaustive"))
     text = json.dumps(rep.to_dict())
     assert json.loads(text)["strategy"] == "exhaustive"
+
+
+# ---------------------------------------------------------------------------
+# one representative pair per shift x shift orbit
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models_p235, st.data())
+def test_shifting_a_pair_rolls_its_grid(model, data):
+    # (shift^s theta1, shift^t theta2) has the grid chi'[j, k] = chi[j + t, k + s]
+    kernel = TripleKernel(model)
+    a = data.draw(st.integers(0, kernel.m - 1))
+    b = data.draw(st.integers(0, kernel.m - 1))
+    s, t = data.draw(st.integers(0, model.p - 1)), data.draw(st.integers(0, model.p - 1))
+    chi = kernel.chi(np.array([a]), np.array([b]))[0]
+    shifted = kernel.chi(kernel.orbit[[a], s], kernel.orbit[[b], t])[0]
+    assert np.array_equal(shifted, np.roll(chi, (-t, -s), axis=(0, 1)))
+    members = kernel.orbit_members(np.array([a * kernel.m + b]))[0]
+    assert members[s * model.p + t] == kernel.orbit[a, s] * kernel.m + kernel.orbit[b, t]
+
+
+def test_every_pair_has_its_representatives_pole_orders_and_conflicts():
+    for model in shipped_catalogue().models:
+        kernel = TripleKernel(model)
+        m, p = kernel.m, kernel.p
+        assert m > 0
+        # orbits of p distinct positions, each led by its least member
+        assert (np.sort(kernel.orbit, axis=1) == np.sort(kernel.orbit[kernel.rep], axis=1)).all()
+        assert (np.diff(np.sort(kernel.orbit, axis=1), axis=1) > 0).all()
+        assert (kernel.rep == kernel.orbit.min(axis=1)).all()
+        weights = kernel.pair_weights()
+        assert set(weights.tolist()) == {0, p * p} and weights.sum() == m * m
+        rep = (kernel.rep[:, None] * m + kernel.rep).ravel()
+        assert np.array_equal(np.flatnonzero(weights), np.unique(rep))
+        # a representative comes no later than its members in the full walk,
+        # so its rows are kept (at slot[pair]) before any member needs them
+        is_rep = weights > 0
+        slot = np.cumsum(is_rep) - 1
+        kept = np.zeros((is_rep.sum(), 2, kernel.n), dtype=np.int64)
+        for a, b, chi, ells in kernel.blocks():
+            q = a * m + b
+            rows = np.stack((ells, cell_conflicts(chi, kernel.n)), axis=1)
+            kept[slot[q[is_rep[q]]]] = rows[is_rep[q]]
+            assert np.array_equal(rows, kept[slot[rep[q]]])
+
+
+def full_walk_report(family, limit=None):
+    """triples_examined, complete, histogram and witnesses of an exhaustive
+    sweep, from the full blocks() walk of every pair of the prefix."""
+    out = {"triples_examined": 0, "complete": True, "histogram": {}, "witnesses": []}
+    for mi, model in enumerate(family.models):
+        kernel = TripleKernel(model)
+        n, npairs = kernel.n, kernel.m**2
+        if limit is not None and out["triples_examined"] + npairs * n > limit:
+            npairs = (limit - out["triples_examined"]) // n
+            out["complete"] = False
+        for a, b, _, ells in kernel.blocks(np.arange(npairs)):
+            values, counts = np.unique(ells, return_counts=True)
+            for ell, count in zip(values.tolist(), counts.tolist()):
+                if ell not in out["histogram"]:
+                    q, c = divmod(int(np.argmax(ells == ell)), n)
+                    out["witnesses"].append(kernel.triple(mi, a[q], b[q], c, ell))
+                out["histogram"][ell] = out["histogram"].get(ell, 0) + count
+        out["triples_examined"] += npairs * n
+        if not out["complete"]:
+            break
+    out["histogram"] = {str(k): v for k, v in sorted(out["histogram"].items())}
+    out["witnesses"].sort(key=lambda w: w["ell"])
+    return out
+
+
+def full_walk_witness(family, target, require_noninvariant_chi):
+    for mi, model in enumerate(family.models):
+        kernel = TripleKernel(model)
+        for a, b, _, ells in kernel.blocks():
+            hits = ells == (model.p if target is None else target)
+            if require_noninvariant_chi:
+                hits &= ~kernel.invariant
+            if hits.any():
+                q, c = divmod(int(np.argmax(hits)), kernel.n)
+                return kernel.triple(mi, a[q], b[q], c, ells[q, c])
+    return None
+
+
+def test_representative_walk_matches_the_full_walk():
+    family = shipped_catalogue((2, 3), 16)
+    total = full_walk_report(family)["triples_examined"]
+    rng = np.random.default_rng(17)
+    limits = [None, 0, 1, total - 1, total, *rng.integers(0, total, 6).tolist()]
+    for limit in limits:
+        got = sweep(family, SweepBudget(limit=limit)).to_dict()
+        want = full_walk_report(family, limit)
+        for key in want:
+            assert got[key] == want[key], (limit, key)
+    for target in (None, 0, 1, 2, 3, 4):
+        for restricted in (False, True):
+            assert find_witness(family, target, restricted) == full_walk_witness(
+                family, target, restricted
+            ), (target, restricted)
+
+
+def full_walk_flags(family, limit, flag):
+    """Every triple of the prefix with flag(kernel, ells) set, rendered in
+    (model, theta1, theta2, chi) index order from the full walk."""
+    out, examined = [], 0
+    for mi, model in enumerate(family.models):
+        kernel = TripleKernel(model)
+        npairs = min(kernel.m**2, (limit - examined) // kernel.n)
+        for a, b, _, ells in kernel.blocks(np.arange(npairs)):
+            for q, c in zip(*np.nonzero(flag(kernel, ells))):
+                out.append(kernel.triple(mi, a[q], b[q], c, ells[q, c]))
+        examined += npairs * kernel.n
+        if npairs < kernel.m**2:
+            break
+    return out
+
+
+@pytest.mark.parametrize("limit", [10**7, 300_000, 54_321])
+def test_flags_on_a_representative_cover_its_orbit(monkeypatch, limit):
+    """An orbit-invariant fault, found on one pair per orbit, is reported for
+    every pair of the orbit inside the prefix, in index order."""
+    sweep_module = importlib.import_module("triplepole.sweep")
+    family = shipped_catalogue((2, 3), 16)
+
+    # every double pole taken for a shared row or column
+    monkeypatch.setattr(sweep_module, "cell_conflicts", lambda chi, n: pole_orders(chi, n) == 2)
+    rep = sweep(family, SweepBudget(limit=limit))
+    want = full_walk_flags(family, limit, lambda k, ells: ells == 2)
+    assert want and rep.violations == want
+    assert "2" not in rep.to_dict()["histogram"]
+    monkeypatch.undo()
+
+    # every invariant chi taken for a moved one at p = 2
+    real_init = TripleKernel.__init__
+
+    def flipped(self, model):
+        real_init(self, model)
+        self.invariant = ~self.invariant
+
+    monkeypatch.setattr(TripleKernel, "__init__", flipped)
+    rep = sweep(family, SweepBudget(limit=limit))
+    monkeypatch.undo()
+    want = full_walk_flags(
+        family, limit, lambda k, ells: (ells >= 2) & k.invariant if k.p == 2 else ells < 0
+    )
+    assert want and rep.rigidity_breaches == want
+    assert rep.violations == []
 
 
 # ---------------------------------------------------------------------------
