@@ -77,6 +77,9 @@ class TripleKernel:
     same pole orders and cell conflicts for each chi.  ``orbit[a, t]`` is the
     position of shift^t(noninv[a]); p is prime, so the p positions of a row
     are distinct, and ``rep[a]``, the least of them, stands for the orbit.
+    ``reps`` lists the positions that lead their orbits, in order, and the
+    pairs of reps x reps are the representative pairs, each the least pair
+    of its orbit.
     """
 
     def __init__(self, model: AbelianModel):
@@ -91,30 +94,34 @@ class TripleKernel:
         shifted = index[:, self.noninv].T
         self.orbit = np.searchsorted(self.noninv, shifted)
         self.rep = self.orbit.min(axis=1)
+        self.reps = np.flatnonzero(self.rep == np.arange(self.m))
         # per coordinate: the shifted coordinate of each non-invariant label,
         # shape (m, p), and -x mod d times the stride for a sum x of two
         self._coords = [shifted // s % d for d, s in zip(factors, strides)]
         self._neg = [(-np.arange(2 * d - 1)) % d * s for d, s in zip(factors, strides)]
 
-    def blocks(self, pairs: np.ndarray | None = None):
-        """(a, b, chi, ell) for the pairs numbered by the sorted array `pairs`
-        (default all m * m) in order, a block at a time: a and b are position
-        arrays, chi = self.chi(a, b) and ell = pole_orders(chi, n)."""
-        if pairs is None:
-            pairs = np.arange(self.m * self.m)
-        for sl in _slices(len(pairs), self.n):
-            a, b = np.divmod(pairs[sl], self.m)
+    def blocks(self, positions: np.ndarray | None = None, npairs: int | None = None):
+        """(a, b, chi, ell) for the pairs (a, b) with a and b in the sorted
+        array `positions` (default every position) and pair number below
+        `npairs` (default m * m), in index order, a block at a time: a and b
+        are position arrays, chi = self.chi(a, b) and ell = pole_orders(chi,
+        n).  Only one block of pairs is ever held."""
+        if positions is None:
+            positions = np.arange(self.m)
+        k = len(positions)
+        count = k * k
+        if npairs is not None and npairs < self.m * self.m:
+            # whole rows of positions before row npairs // m, then the part
+            # of that row (if it is a position) below column npairs % m
+            row, col = divmod(npairs, self.m)
+            full = int(np.searchsorted(positions, row))
+            in_row = full < k and positions[full] == row
+            count = full * k + (int(np.searchsorted(positions, col)) if in_row else 0)
+        for sl in _slices(count, self.n):
+            i, j = np.divmod(np.arange(sl.start, sl.stop), k)
+            a, b = positions[i], positions[j]
             chi = self.chi(a, b)
             yield a, b, chi, pole_orders(chi, self.n)
-
-    def pair_weights(self, npairs: int | None = None) -> np.ndarray:
-        """w[q] for every pair number q: how many of the first `npairs` pairs
-        (default all m * m) have pair q, (rep[a], rep[b]), as their orbit's
-        representative.  A representative is the least pair of its orbit, so
-        w is nonzero exactly at the representatives the prefix reaches, and
-        is p * p at each of them when the prefix is every pair."""
-        reps = (self.rep[:, None] * self.m + self.rep).ravel()[:npairs]
-        return np.bincount(reps, minlength=self.m * self.m)
 
     def orbit_members(self, pairs: np.ndarray) -> np.ndarray:
         """members[i]: the p * p pair numbers of the orbit of pair pairs[i],
@@ -228,35 +235,34 @@ def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
         if budget.limit is not None and report.triples_examined + npairs * n > budget.limit:
             npairs = (budget.limit - report.triples_examined) // n
             report.complete = False
-        weights = kernel.pair_weights(npairs)
         chi_moved = ~kernel.invariant if kernel.p == 2 else None
         found = ([], [])  # (pair, c, ell) of the violations and breaches seen
-        for a, b, chi, ells in kernel.blocks(np.flatnonzero(weights)):
-            pairs = a * kernel.m + b
+        for a, b, chi, ells in kernel.blocks(kernel.reps, npairs):
+            # the orbit members inside the prefix, which each pair stands for
+            members = kernel.orbit_members(a * kernel.m + b)
+            inside = members < npairs
             triple = lambda i, ell: kernel.triple(mi, a[i // n], b[i // n], i % n, ell)
             bad = cell_conflicts(chi, n)
-            flagged = _tally(report, ells, bad, chi_moved, triple, weights[pairs])
+            flagged = _tally(report, ells, bad, chi_moved, triple, inside.sum(axis=1))
             for out, flat in zip(found, flagged):
                 if len(flat):
-                    out.append((pairs[flat // n], flat % n, ells.flat[flat]))
-        report.violations.extend(_spread(kernel, mi, npairs, found[0]))
-        report.rigidity_breaches.extend(_spread(kernel, mi, npairs, found[1]))
+                    q, c = np.divmod(flat, n)
+                    rows, cols = np.nonzero(inside[q])
+                    out.append((members[q[rows], cols], c[rows], ells[q, c][rows]))
+        report.violations.extend(_render(kernel, mi, found[0]))
+        report.rigidity_breaches.extend(_render(kernel, mi, found[1]))
         report.triples_examined += npairs * n
         if not report.complete:
             break
     return report
 
 
-def _spread(kernel: TripleKernel, mi: int, npairs: int, found: list) -> list[dict]:
-    """The triples (pair, c, ell) found on representatives, rendered for
-    every member of their orbits among the first `npairs` pairs, at the same
-    c, in (pair, c) index order."""
+def _render(kernel: TripleKernel, mi: int, found: list) -> list[dict]:
+    """The triples (pair, c, ell) of `found`, rendered in (pair, c) index
+    order."""
     if not found:
         return []
-    pairs, c, ell = (np.concatenate(x) for x in zip(*found))
-    members = kernel.orbit_members(pairs)
-    rows, cols = np.nonzero(members < npairs)
-    q, c, ell = members[rows, cols], c[rows], ell[rows]
+    q, c, ell = (np.concatenate(x) for x in zip(*found))
     a, b = np.divmod(q, kernel.m)
     return [kernel.triple(mi, a[i], b[i], c[i], ell[i]) for i in np.lexsort((c, q))]
 
@@ -318,7 +324,7 @@ def find_witness(
     for mi, model in enumerate(family.models):
         kernel = TripleKernel(model)
         target = model.p if target_ell is None else target_ell
-        for a, b, _, ells in kernel.blocks(np.flatnonzero(kernel.pair_weights())):
+        for a, b, _, ells in kernel.blocks(kernel.reps):
             hits = ells == target
             if require_noninvariant_chi:
                 hits &= ~kernel.invariant

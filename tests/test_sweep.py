@@ -4,6 +4,7 @@ model catalogue."""
 import importlib
 import itertools
 import json
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def kernel_cells(model):
 def test_blocks_walk_every_pair_once_in_index_order(npairs):
     # 60 non-invariant labels: 3,600 pairs, 520 to a block
     kernel = TripleKernel(AbelianModel(factors=(63,), sigma=((4,),), cyclic=CyclicData(3)))
-    blocks = list(kernel.blocks(None if npairs is None else np.arange(npairs)))
+    blocks = list(kernel.blocks(npairs=npairs))
     total = kernel.m**2 if npairs is None else npairs
     assert len(blocks) == -(-total // 520)
     walked = [a * kernel.m + b for a, b, _, _ in blocks]
@@ -74,6 +75,16 @@ def test_blocks_walk_every_pair_once_in_index_order(npairs):
     for a, b, chi, ells in blocks:
         assert np.array_equal(chi, kernel.chi(a, b))
         assert np.array_equal(ells, pole_orders(chi, kernel.n))
+    # given positions: the pairs of positions x positions below npairs
+    for positions in (kernel.reps, np.array([0, 7, 8, 59]), np.arange(1, 60, 3), np.array([], int)):
+        want = [a * kernel.m + b for a in positions.tolist() for b in positions.tolist()]
+        want = [q for q in want if q < total]
+        blocks = list(kernel.blocks(positions, npairs))
+        assert len(blocks) == -(-len(want) // 520)
+        walked = [a * kernel.m + b for a, b, _, _ in blocks]
+        assert np.concatenate(walked or [[]]).tolist() == want
+        for a, b, chi, ells in blocks:
+            assert np.array_equal(chi, kernel.chi(a, b))
 
 
 def reference_cells(model, i1, i2, ic):
@@ -269,13 +280,15 @@ def test_every_pair_has_its_representatives_pole_orders_and_conflicts():
         assert (np.sort(kernel.orbit, axis=1) == np.sort(kernel.orbit[kernel.rep], axis=1)).all()
         assert (np.diff(np.sort(kernel.orbit, axis=1), axis=1) > 0).all()
         assert (kernel.rep == kernel.orbit.min(axis=1)).all()
-        weights = kernel.pair_weights()
-        assert set(weights.tolist()) == {0, p * p} and weights.sum() == m * m
+        assert np.array_equal(kernel.reps, np.unique(kernel.rep))
+        # the orbits of the representative pairs split the m * m pairs
+        pairs = (kernel.reps[:, None] * m + kernel.reps).ravel()
+        members = np.sort(kernel.orbit_members(pairs).ravel())
+        assert np.array_equal(members, np.arange(m * m)) and len(members) == len(pairs) * p * p
         rep = (kernel.rep[:, None] * m + kernel.rep).ravel()
-        assert np.array_equal(np.flatnonzero(weights), np.unique(rep))
         # a representative comes no later than its members in the full walk,
         # so its rows are kept (at slot[pair]) before any member needs them
-        is_rep = weights > 0
+        is_rep = rep == np.arange(m * m)
         slot = np.cumsum(is_rep) - 1
         kept = np.zeros((is_rep.sum(), 2, kernel.n), dtype=np.int64)
         for a, b, chi, ells in kernel.blocks():
@@ -295,7 +308,7 @@ def full_walk_report(family, limit=None):
         if limit is not None and out["triples_examined"] + npairs * n > limit:
             npairs = (limit - out["triples_examined"]) // n
             out["complete"] = False
-        for a, b, _, ells in kernel.blocks(np.arange(npairs)):
+        for a, b, _, ells in kernel.blocks(npairs=npairs):
             values, counts = np.unique(ells, return_counts=True)
             for ell, count in zip(values.tolist(), counts.tolist()):
                 if ell not in out["histogram"]:
@@ -340,6 +353,28 @@ def test_representative_walk_matches_the_full_walk():
             ), (target, restricted)
 
 
+def test_a_large_model_is_walked_a_block_at_a_time():
+    # Z/100003 with a shift of order 3 moves 100,002 labels: 10^10 pairs,
+    # which are never listed; a limit or a first hit ends the walk at once
+    n = 100003
+    model = AbelianModel(factors=(n,), sigma=((pow(2, (n - 1) // 3, n),),), cyclic=CyclicData(3))
+    family = SweepFamily((model,))
+    tracemalloc.start()
+    try:
+        reports = [sweep(family, SweepBudget(limit=limit)) for limit in (0, 50 * n + 7)]
+        witness = find_witness(family, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 25  # bytes: the kernel's O(p * n) tables (about 15 MB) and a block
+    for limit, report in zip((0, 50 * n + 7), reports):
+        got = report.to_dict()
+        want = full_walk_report(family, limit)
+        assert {key: got[key] for key in want} == want
+    assert reports[1].triples_examined == 50 * n
+    assert witness == full_walk_witness(family, 1, False)
+
+
 def full_walk_flags(family, limit, flag):
     """Every triple of the prefix with flag(kernel, ells) set, rendered in
     (model, theta1, theta2, chi) index order from the full walk."""
@@ -347,7 +382,7 @@ def full_walk_flags(family, limit, flag):
     for mi, model in enumerate(family.models):
         kernel = TripleKernel(model)
         npairs = min(kernel.m**2, (limit - examined) // kernel.n)
-        for a, b, _, ells in kernel.blocks(np.arange(npairs)):
+        for a, b, _, ells in kernel.blocks(npairs=npairs):
             for q, c in zip(*np.nonzero(flag(kernel, ells))):
                 out.append(kernel.triple(mi, a[q], b[q], c, ells[q, c]))
         examined += npairs * kernel.n
