@@ -126,10 +126,11 @@ def _totient(n: int) -> int:
 
 
 # Ceilings on building an oracle group, checked by `FiniteGroupModel` from
-# the factors and p before anything is allocated.  p * |A| bounds the base
-# tables (the base elements, their index and sigma_index); n * (n - phi(n))
-# for the base exponent n bounds the integer steps of computing Phi_n and the
-# n - phi(n) remainder rows `_remainder_matrix` builds, phi(n) entries each.
+# the factors and p before anything is allocated.  p * |A| bounds the group's
+# tables (sigma_index, and the exponent rows of a character or an orbit table
+# of the sweeps); n * (n - phi(n)) for the base exponent n bounds the integer
+# steps of computing Phi_n and the n - phi(n) remainder rows
+# `_remainder_matrix` builds, phi(n) entries each.
 ORACLE_MAX_BASE_ENTRIES = 1 << 19
 ORACLE_MAX_CYCLOTOMIC_STEPS = 1 << 25
 
@@ -174,13 +175,11 @@ class FiniteGroupModel:
         self.nexp = lcm(*factors)
         self.base_order = prod(factors)
         self.order = p * self.base_order
-        self._base = list(itertools.product(*(range(d) for d in factors)))
-        self._base_index = {a: i for i, a in enumerate(self._base)}
         # sigma_index[t][i]: base index of sigma^t applied to base element i
         self.sigma_index = sigma_table(factors, powers).tolist()
 
     def base_elements(self):
-        return list(self._base)
+        return list(itertools.product(*(range(d) for d in self.factors)))
 
 
 def build_semidirect(factors, sigma, p: int) -> FiniteGroupModel:
@@ -199,18 +198,12 @@ class CharacterOfA:
     def __init__(self, group: FiniteGroupModel, exponents):
         if len(exponents) != len(group.factors):
             raise PreconditionError("exponent arity does not match the base factors")
-        exponents = tuple(int(e) % d for e, d in zip(exponents, group.factors))
         self.group = group
-        self.exponents = exponents
-        n = group.nexp
-        weights = [n // d for d in group.factors]
-        self._exp_by_index = [
-            sum(e * a * w for e, a, w in zip(exponents, a_coords, weights)) % n
-            for a_coords in group.base_elements()
-        ]
+        self.exponents = tuple(int(e) % d for e, d in zip(exponents, group.factors))
 
     def value_exponent(self, a) -> int:
-        return self._exp_by_index[self.group._base_index[a]]
+        n = self.group.nexp
+        return sum(e * x * (n // d) for e, x, d in zip(self.exponents, a, self.group.factors)) % n
 
 
 def trivial_multiplicity(
@@ -228,8 +221,7 @@ def trivial_multiplicity(
     for lam in (lambda1, lambda2, chi):
         if lam.group is not group:
             raise ModelMismatchError("character belongs to a different group")
-    sig = np.array(group.sigma_index)
-    e1, e2, e3 = (np.array(lam._exp_by_index)[sig] for lam in (lambda1, lambda2, chi))
+    e1, e2, e3 = _exponent_rows(group, [lam.exponents for lam in (lambda1, lambda2, chi)])
     return int(_multiplicities(e1, e2, e3[None], group, _remainder_matrix(group.nexp))[0])
 
 
@@ -239,17 +231,26 @@ def trivial_multiplicity(
 _BLOCK_ENTRIES = 1 << 17
 
 
-# Ceiling on the exponent table of `oracle_agreement_sweep` and
-# `projection_formula_sweep`: p * |A|^2 int64 entries, checked before the
-# table is built.  Their largest temporaries are a few times this size.
+def _exponent_rows(group: FiniteGroupModel, exponents) -> np.ndarray:
+    """E[i, t, b]: exponent of the base character with exponent vector
+    exponents[i] at sigma^t of base element b, elements in mixed-radix index
+    order: sum_j e_j b_j (n / d_j) mod n for the base exponent n."""
+    coords = np.indices(group.factors).reshape(len(group.factors), -1)
+    weights = np.array([group.nexp // d for d in group.factors], dtype=np.int64)
+    E = (np.asarray(exponents, dtype=np.int64) * weights) @ coords
+    return (E % group.nexp)[:, np.array(group.sigma_index)]
+
+
+# Ceiling on the exponent table of `oracle_agreement_sweep`: p * |A|^2 int64
+# entries, checked before the table is built.  The sweep's largest
+# temporaries are a few times this size.
 ORACLE_MAX_EXPONENT_ENTRIES = 1 << 22
 
 
 def _exponent_table(group: FiniteGroupModel) -> np.ndarray:
-    """E[lam, t, b]: exponent of base character lam at sigma^t of base
-    element b, characters and elements in mixed-radix index order.  A table
-    of over ORACLE_MAX_EXPONENT_ENTRIES entries raises PreconditionError
-    before anything is allocated."""
+    """E[lam, t, b]: `_exponent_rows` of every base character lam, in
+    mixed-radix index order.  A table of over ORACLE_MAX_EXPONENT_ENTRIES
+    entries raises PreconditionError before anything is allocated."""
     entries = group.p * group.base_order**2
     if entries > ORACLE_MAX_EXPONENT_ENTRIES:
         raise PreconditionError(
@@ -257,9 +258,7 @@ def _exponent_table(group: FiniteGroupModel) -> np.ndarray:
             f"needs an exponent table of {entries} entries, over the ceiling of "
             f"{ORACLE_MAX_EXPONENT_ENTRIES}"
         )
-    coords = np.array(group.base_elements(), dtype=np.int64)
-    weights = np.array([group.nexp // d for d in group.factors], dtype=np.int64)
-    return ((coords * weights) @ coords.T % group.nexp)[:, np.array(group.sigma_index)]
+    return _exponent_rows(group, group.base_elements())
 
 
 def _remainder_matrix(n: int) -> np.ndarray:
@@ -344,33 +343,30 @@ def projection_formula_sweep(group: FiniteGroupModel) -> dict:
 
     so the left side's exponent multiset is the union over t of
     {E[v, sigma^s sigma^t a]}_s + E[w, sigma^t a], and the right side's the
-    union over t of {E[v, sigma^s a]}_s + E[w, sigma^t a].  If for every t
-    and a the multiset over s of E[v, sigma^s sigma^t a] equals that of
-    E[v, sigma^s a], the two unions agree term by term whatever w is, and
-    equal exponent multisets give equal values in the cyclotomic ring.  The
-    sweep tests this sigma-stability once per representative v, for all
-    representatives in one step.  Since sigma_index holds the powers of an
-    automorphism whose order divides p, sigma^s sigma^t runs over the same
-    p powers as sigma^s, so every group the constructors build passes it.
-    A representative that fails it (only a hand-edited sigma_index can)
-    raises InvariantViolationError.  `failures` is therefore always empty;
-    the key stays for readers of the report.  A group whose exponent table
-    is over ORACLE_MAX_EXPONENT_ENTRIES raises PreconditionError first.
+    union over t of {E[v, sigma^s a]}_s + E[w, sigma^t a].  They agree term
+    by term for every v and w, and equal exponent multisets give equal
+    values in the cyclotomic ring, when sigma^s sigma^t = sigma^((s + t) mod
+    p).  The sweep checks that law on sigma_index in O(p * |A|) memory: row
+    0 is the identity and row (s + 1) mod p is row s followed by row 1 mod
+    p, so row s is the s-th power of row 1 and its p-th power the identity.
+    Every group the constructors build passes; a table that fails (only a
+    hand-edited sigma_index can) raises InvariantViolationError.
+    `failures` is therefore always empty; the key stays for readers of the
+    report.
     """
-    nbase = group.base_order
-    sig = np.array(group.sigma_index, dtype=np.int64)  # (p, nbase)
-    reps = np.unique(_orbit_reps(group))
-    nrep = len(reps)
-    E_sig = _exponent_table(group)[reps]  # (rep, s, a): E[rep, sigma^s a]
-    E_sig2 = E_sig[:, :, sig]  # (rep, s, t, a): E[rep, sigma^s sigma^t a]
-    stable = np.all(
-        np.sort(E_sig2, axis=1) == np.sort(E_sig, axis=1)[:, :, None, :], axis=(1, 2, 3)
-    )
-    if not stable.all():
+    nbase, p = group.base_order, group.p
+    sig = np.array(group.sigma_index, dtype=np.int64)  # (p, nbase): row s is sigma^s
+    broken = np.any(np.roll(sig, -1, axis=0) != sig[1 % p][sig], axis=1)
+    bad = {(s + 1) % p for s in np.flatnonzero(broken).tolist()}
+    if np.any(sig[0] != np.arange(nbase)):
+        bad.add(0)
+    if bad:
         raise InvariantViolationError(
-            "sigma_index is not the table of an automorphism: the exponent rows of "
-            f"base characters {reps[~stable].tolist()} are not sigma-stable"
+            "sigma_index is not the table of an automorphism whose order divides p: "
+            f"rows {sorted(bad)} are not powers of row 1, so the exponent rows of its "
+            "characters are not sigma-stable"
         )
+    nrep = int(np.count_nonzero(_orbit_reps(group) == np.arange(nbase)))
     return {"checked": nbase * nbase, "statements": nrep * nrep, "failures": []}
 
 

@@ -285,7 +285,7 @@ def _sweep_sampled(family: SweepFamily, budget: SweepBudget) -> SweepReport:
     ells = np.zeros(budget.samples, dtype=np.intp)
     bad = np.zeros(budget.samples, dtype=bool)
     chi_moved = np.zeros(budget.samples, dtype=bool)
-    for mi in np.unique(mis).tolist():
+    for mi in sorted(set(mis.tolist())):
         k = kernels[mi]
         rows = np.flatnonzero(mis == mi)
         for r in (rows[sl] for sl in _slices(len(rows), k.n)):

@@ -115,8 +115,9 @@ def test_criterion_3_oracle_agreement_full_catalogue(catalogue_sweep):
 
 
 def test_criterion_4_projection_formula_catalogue_groups():
-    # every catalogue group passes the sweep's sigma-stability test (a group
-    # that failed it would raise InvariantViolationError)
+    # every catalogue group passes the sweep's check that its sigma table
+    # composes cyclically (a group that failed it would raise
+    # InvariantViolationError)
     family = shipped_catalogue()
     start = time.monotonic()
     checked = statements = 0

@@ -28,6 +28,7 @@ from triplepole.gauss import GaussianModulus, HeckeGaussianModel
 from triplepole.group_oracle import (
     PAIRING_NOTE,
     CharacterOfA,
+    FiniteGroupModel,
     build_semidirect,
     dual_sigma,
     oracle_agreement_sweep,
@@ -336,6 +337,23 @@ def test_kernel_rejects_an_exponent_row_that_is_not_sigma_stable(frobenius21):
         trivial_multiplicity(lam, lam, lam, G)
 
 
+def test_oracle_compare_on_a_large_prime_base_holds_no_per_element_tables():
+    # |A| = 100003 at p = 3: the group keeps its sigma table and the
+    # multiplicity reads three characters' exponent rows, a few MB each; a
+    # Python table per base element (coordinates, their index, each
+    # character's exponents) takes the peak past 50 MB
+    model = AbelianModel(factors=(100003,), sigma=((7120,),), cyclic=CyclicData(3))
+    labels = [model.label((1,)), model.label((1,)), model.label((0,))]
+    tracemalloc.start()
+    try:
+        report = oracle_compare(model, *labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.multiplicity == report.ell == 0
+    assert peak < 1 << 25  # bytes
+
+
 # ---------------------------------------------------------------------------
 # projection formula
 
@@ -352,6 +370,10 @@ def test_projection_formula_sweep_counts(dihedral6, frobenius21):
     assert r6 == {"checked": 9, "statements": 4, "failures": []}
     r21 = projection_formula_sweep(frobenius21)
     assert r21 == {"checked": 49, "statements": 9, "failures": []}
+    # p = 1: sigma is the identity, every orbit a single character
+    r5 = projection_formula_sweep(FiniteGroupModel((5,), ((1,),), 1))
+    assert r5 == {"checked": 25, "statements": 25, "failures": []}
+    assert all(type(r5[key]) is int for key in ("checked", "statements"))  # JSON-ready
 
 
 def test_projection_formula_sweep_mixed_factors():
@@ -372,6 +394,14 @@ def test_projection_sweep_rejects_an_unstable_sigma_index():
         projection_formula_sweep(G)
 
 
+def test_projection_sweep_rejects_a_sigma_index_without_the_identity():
+    # a constant row composes with itself; only row 0 = identity rules it out
+    G = FiniteGroupModel((5,), ((1,),), 1)
+    G.sigma_index[0] = [0] * 5
+    with pytest.raises(InvariantViolationError, match=r"rows \[0\] are not powers"):
+        projection_formula_sweep(G)
+
+
 def test_oracle_sweeps_price_their_exponent_table(monkeypatch):
     # every catalogue model and Gaussian test model is admitted
     models = list(shipped_catalogue().models)
@@ -380,14 +410,14 @@ def test_oracle_sweeps_price_their_exponent_table(monkeypatch):
     assert max(m.p * m.order**2 for m in models) <= ceiling
 
     # (2003,) at p = 2 is a small group with a table of 2 * 2003^2 entries:
-    # both sweeps reject it before building anything quadratic
+    # the agreement sweep rejects it before building anything quadratic, and
+    # the projection sweep, which checks the sigma table alone, certifies it
     model = AbelianModel(factors=(2003,), sigma=((2002,),), cyclic=CyclicData(2))
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError, match="8024018 entries, over the ceiling"):
             oracle_agreement_sweep(model)
-        with pytest.raises(PreconditionError, match="over the ceiling"):
-            projection_formula_sweep(oracle_group(model))
+        assert projection_formula_sweep(oracle_group(model))["checked"] == 2003**2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -400,8 +430,6 @@ def test_oracle_sweeps_price_their_exponent_table(monkeypatch):
     monkeypatch.setattr(group_oracle, "ORACLE_MAX_EXPONENT_ENTRIES", 3 * 7**2 - 1)
     with pytest.raises(PreconditionError, match="147 entries"):
         oracle_agreement_sweep(z7)
-    with pytest.raises(PreconditionError, match="147 entries"):
-        projection_formula_sweep(oracle_group(z7))
 
 
 def test_projection_formula_detects_corruption(dihedral6):
@@ -445,9 +473,9 @@ def test_sigma_index_is_the_mat_apply_table(G):
 
 @pytest.mark.parametrize("name", list(ORBIT_GROUPS))
 def test_projection_formula_holds_on_every_pair(name):
-    # the sweep proves one statement per pair of orbits through its
-    # sigma-stability test; the literal value-by-value identity must hold on
-    # every pair that statement covers
+    # the sweep proves one statement per pair of orbits through the cyclic
+    # law of the sigma table; the literal value-by-value identity must hold
+    # on every pair that statement covers
     G = ORBIT_GROUPS[name]
     chars = characters_of_base(G)
     assert projection_formula_sweep(G)["checked"] == len(chars) ** 2

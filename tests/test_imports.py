@@ -55,6 +55,24 @@ def test_rejected_config_loads_no_lane(tmp_path):
     assert modules >= JSONSCHEMA  # the name the valid requests are checked for
 
 
+def test_sampled_sweep_loads_no_masked_arrays(tmp_path):
+    # numpy.ma costs 10-20 ms to import, in every fresh sampled request
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "catalogue": {"p_values": [2, 3], "max_group_order": 16},
+                "budget": {"strategy": "sample", "samples": 200, "seed": 3},
+            }
+        )
+    )
+    code, modules = imported_modules("sweep", "--config", str(path))
+    assert code == 0
+    assert "triplepole.sweep" in modules
+    assert "numpy.ma" not in modules
+
+
 # The names `triplepole` exports, by the module that defines them.
 EXPORTS = {
     "calculus": [
