@@ -56,8 +56,7 @@ from .errors import (
     RelationValidationError,
     UnsupportedOperationError,
 )
-from .gauss import HeckeGaussianModel
-from .models import AbelianModel, CuspidalLabelK, GenericRelationModel
+from .models import AbelianModel, CuspidalLabelK
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,12 +69,12 @@ EXIT_INTERNAL = 6
 def _label_json(label: CuspidalLabelK) -> dict:
     """Model-independent JSON rendering of a cuspidal label."""
     info: dict = {"degree": label.degree}
-    model = label.model
-    if isinstance(model, HeckeGaussianModel):  # before its base class
+    kind = getattr(label.model, "kind", None)
+    if kind == "gaussian":
         info["exponents"] = list(label.payload)
-    elif isinstance(model, AbelianModel):
+    elif kind == "abelian":
         info["coords"] = list(label.payload)
-    elif isinstance(model, GenericRelationModel):
+    elif kind == "generic":
         atom_id, shift = label.payload
         info["atom"] = atom_id
         info["shift"] = shift
@@ -204,7 +203,7 @@ def cmd_hecke_estimate(config: dict, args) -> tuple[dict, int]:
     from .gauss_sums import DEFAULT_TAU, numeric_triple_estimate
 
     model, labels = _triple(config, "hecke-estimate")
-    if not isinstance(model, HeckeGaussianModel):
+    if model.kind != "gaussian":
         raise ConfigError("hecke-estimate needs a gaussian model")
     spec = require_section(config, "estimate", "hecke-estimate")
     estimate = numeric_triple_estimate(

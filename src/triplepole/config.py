@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InvariantViolationError
-from .gauss import GaussianModulus, HeckeGaussianModel
 from .models import (
     AbelianModel,
     CuspidalLabelK,
@@ -20,6 +20,9 @@ from .models import (
     GenericAtom,
     GenericRelationModel,
 )
+
+if TYPE_CHECKING:
+    from .gauss import HeckeGaussianModel
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -354,6 +357,8 @@ def build_model(spec: dict):
             validate=spec.get("validate", True),
         )
     if kind == "gaussian":
+        from .gauss import GaussianModulus, HeckeGaussianModel
+
         return HeckeGaussianModel(GaussianModulus(tuple(spec["modulus"])))
     raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -408,6 +413,14 @@ def _generic_label_of(
     return make(value.get("shift", 0)), "induced"
 
 
+# The label builder of each model kind, by its class-level `kind`.
+_LABEL_BUILDERS = {
+    "abelian": _abelian_label_of,
+    "generic": _generic_label_of,
+    "gaussian": _gaussian_label_of,
+}
+
+
 def build_labels(model, spec: dict) -> dict:
     """Build the three labels of a triple from a labels section.
 
@@ -417,13 +430,9 @@ def build_labels(model, spec: dict) -> dict:
     every kind's label shape in every role, so a label of another model
     kind's shape is rejected here.
     """
-    if isinstance(model, HeckeGaussianModel):  # before its base class
-        kind, label_of = "gaussian", _gaussian_label_of
-    elif isinstance(model, AbelianModel):
-        kind, label_of = "abelian", _abelian_label_of
-    elif isinstance(model, GenericRelationModel):
-        kind, label_of = "generic", _generic_label_of
-    else:
+    kind = getattr(model, "kind", None)
+    label_of = _LABEL_BUILDERS.get(kind)
+    if label_of is None:
         raise ConfigError("unsupported model for label building")
     out = {}
     for role in ("theta1", "theta2", "chi"):

@@ -384,6 +384,7 @@ class HeckeGaussianModel(AbelianModel):
     which these operations preserve.  Models compare by identity.
     """
 
+    kind = "gaussian"
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvariantViolationError, ModelMismatchError, PreconditionError
 from .models import AbelianModel, CuspidalLabelK, sigma_powers, sigma_table
-from .sweep import TripleKernel
+from .sweep import TripleKernel, pole_orders
 
 PAIRING_NOTE = (
     "model elements index base-group characters via the coordinate-wise "
@@ -175,8 +175,8 @@ class FiniteGroupModel:
         self.nexp = lcm(*factors)
         self.base_order = prod(factors)
         self.order = p * self.base_order
-        # sigma_index[t][i]: base index of sigma^t applied to base element i
-        self.sigma_index = sigma_table(factors, powers).tolist()
+        # sigma_index[t, i]: base index of sigma^t applied to base element i
+        self.sigma_index = sigma_table(factors, powers)
 
     def base_elements(self):
         return list(itertools.product(*(range(d) for d in self.factors)))
@@ -238,7 +238,7 @@ def _exponent_rows(group: FiniteGroupModel, exponents) -> np.ndarray:
     coords = np.indices(group.factors).reshape(len(group.factors), -1)
     weights = np.array([group.nexp // d for d in group.factors], dtype=np.int64)
     E = (np.asarray(exponents, dtype=np.int64) * weights) @ coords
-    return (E % group.nexp)[:, np.array(group.sigma_index)]
+    return (E % group.nexp)[:, group.sigma_index]
 
 
 # Ceiling on the exponent table of `oracle_agreement_sweep`: p * |A|^2 int64
@@ -355,7 +355,7 @@ def projection_formula_sweep(group: FiniteGroupModel) -> dict:
     report.
     """
     nbase, p = group.base_order, group.p
-    sig = np.array(group.sigma_index, dtype=np.int64)  # (p, nbase): row s is sigma^s
+    sig = group.sigma_index  # (p, nbase): row s is sigma^s
     broken = np.any(np.roll(sig, -1, axis=0) != sig[1 % p][sig], axis=1)
     bad = {(s + 1) % p for s in np.flatnonzero(broken).tolist()}
     if np.any(sig[0] != np.arange(nbase)):
@@ -429,6 +429,11 @@ def oracle_compare(
     )
 
 
+# Triples per block of the agreement sweep's walk: bounds the memory of its
+# dense pole-order rows and the multiplicities they are compared with.
+_DENSE_TRIPLES = 1 << 15
+
+
 def oracle_agreement_sweep(model: AbelianModel) -> dict:
     """Criterion-level agreement check: for every valid triple of the model,
     the oracle's trivial multiplicity must equal the matching-matrix count.
@@ -445,7 +450,8 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     k(k+1)/2 for k representatives), and written to both cells of the
     table.  Every triple is then compared with the kernel's pole order
     through its representatives, in (theta1, theta2, chi) index order: the
-    kernel's full walk, which also checks on every triple the orbit
+    kernel's full walk over one model, each grid expanded to a dense
+    `pole_orders` row, which also checks on every triple the orbit
     invariance that the exhaustive `sweep` relies on.  A model whose
     exponent table is over ORACLE_MAX_EXPONENT_ENTRIES raises
     PreconditionError before the table is built.
@@ -453,7 +459,7 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     G = oracle_group(model)
     E = _exponent_table(G)  # characters indexed as model elements
     R = _remainder_matrix(G.nexp)
-    kernel = TripleKernel(model)
+    kernel = TripleKernel([model])
     rep = _orbit_reps(G)
     # chi_at[c], inducer_at[a]: position of the representative of chi c,
     # of theta = noninv[a], among the representatives
@@ -470,7 +476,11 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
 
     mismatches = []
     triples = 0
-    for a, b, _, ells in kernel.blocks():
+    nlabels = len(kernel.noninv)
+    step = max(1, _DENSE_TRIPLES // model.order)
+    for lo in range(0, nlabels**2, step):
+        a, b = np.divmod(np.arange(lo, min(lo + step, nlabels**2)), nlabels)
+        ells = pole_orders(kernel.chi(a, b), model.order)
         mult = M[inducer_at[a][:, None], inducer_at[b][:, None], chi_at]
         triples += ells.size
         for q, c in zip(*np.nonzero(mult != ells)):

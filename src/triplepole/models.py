@@ -19,7 +19,9 @@ AbelianModel and GenericRelationModel expose the same duck-typed protocol,
 which HeckeGaussianModel inherits: label construction, ``shift``,
 ``dual``/``twist`` (or UnsupportedOperationError), ``is_isomorphic``,
 ``is_invariant``, ``matching_cell``, plus the class flags ``supports_twist``
-and ``enforces_noninvariance``.  AbelianModel also exposes ``cell``, the
+and ``enforces_noninvariance`` and the class-level ``kind`` ("abelian",
+"generic" or "gaussian"), which callers dispatch on without importing the
+Gaussian lane.  AbelianModel also exposes ``cell``, the
 group element whose vanishing turns a matching cell on.
 """
 
@@ -151,6 +153,7 @@ class AbelianModel:
     cyclic: CyclicData
     allow_trivial_sigma: bool = False
 
+    kind = "abelian"
     supports_twist = True
     enforces_noninvariance = True
 
@@ -308,6 +311,7 @@ class GenericRelationModel:
     theta2_id: str = "theta2"
     validate: bool = True
 
+    kind = "generic"
     supports_twist = False
     enforces_noninvariance = False
 

@@ -15,6 +15,8 @@ CONFIGS = REPO / "configs"
 
 # What `pole-order` and `factorize` never need.
 LANES = {"numpy", "triplepole.sweep", "triplepole.group_oracle", "triplepole.gauss_sums"}
+# The Gaussian lane, which only a gaussian model needs.
+GAUSSIAN = {"triplepole.gauss", "triplepole.char_group"}
 # What only a rejected config loads, to word its exit-2 message.
 JSONSCHEMA = {"jsonschema"}
 
@@ -43,6 +45,16 @@ def test_single_triple_request_loads_no_lane(command, config):
     assert code == 0
     assert "triplepole.cli" in modules
     assert modules & LANES == set()
+    assert modules & GAUSSIAN == set()
+    assert modules & JSONSCHEMA == set()
+
+
+@pytest.mark.parametrize("command", ["pole-order", "factorize"])
+def test_gaussian_request_loads_the_gaussian_lane(command):
+    # the names the other requests are checked for
+    code, modules = imported_modules(command, "--config", str(CONFIGS / "gaussian_mod7.json"))
+    assert code == 0
+    assert modules >= GAUSSIAN
     assert modules & JSONSCHEMA == set()
 
 
