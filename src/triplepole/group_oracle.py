@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvariantViolationError, ModelMismatchError, PreconditionError
 from .models import AbelianModel, CuspidalLabelK, sigma_powers, sigma_table
-from .sweep import TripleKernel, pole_orders
+from .sweep import TripleKernel
 
 PAIRING_NOTE = (
     "model elements index base-group characters via the coordinate-wise "
@@ -429,11 +429,6 @@ def oracle_compare(
     )
 
 
-# Triples per block of the agreement sweep's walk: bounds the memory of its
-# dense pole-order rows and the multiplicities they are compared with.
-_DENSE_TRIPLES = 1 << 15
-
-
 def oracle_agreement_sweep(model: AbelianModel) -> dict:
     """Criterion-level agreement check: for every valid triple of the model,
     the oracle's trivial multiplicity must equal the matching-matrix count.
@@ -450,16 +445,16 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     k(k+1)/2 for k representatives), and written to both cells of the
     table.  Every triple is then compared with the kernel's pole order
     through its representatives, in (theta1, theta2, chi) index order: the
-    kernel's full walk over one model, each grid expanded to a dense
-    `pole_orders` row, which also checks on every triple the orbit
-    invariance that the exhaustive `sweep` relies on.  A model whose
+    kernel's full walk (`TripleKernel.dense_blocks`), which also checks on
+    every triple the orbit invariance that the exhaustive `sweep` relies
+    on.  A model whose
     exponent table is over ORACLE_MAX_EXPONENT_ENTRIES raises
     PreconditionError before the table is built.
     """
     G = oracle_group(model)
     E = _exponent_table(G)  # characters indexed as model elements
     R = _remainder_matrix(G.nexp)
-    kernel = TripleKernel([model])
+    kernel = TripleKernel(model)
     rep = _orbit_reps(G)
     # chi_at[c], inducer_at[a]: position of the representative of chi c,
     # of theta = noninv[a], among the representatives
@@ -476,11 +471,7 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
 
     mismatches = []
     triples = 0
-    nlabels = len(kernel.noninv)
-    step = max(1, _DENSE_TRIPLES // model.order)
-    for lo in range(0, nlabels**2, step):
-        a, b = np.divmod(np.arange(lo, min(lo + step, nlabels**2)), nlabels)
-        ells = pole_orders(kernel.chi(a, b), model.order)
+    for a, b, _, ells in kernel.dense_blocks():
         mult = M[inducer_at[a][:, None], inducer_at[b][:, None], chi_at]
         triples += ells.size
         for q, c in zip(*np.nonzero(mult != ells)):

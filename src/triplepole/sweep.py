@@ -3,14 +3,12 @@ orders, cross-check structural invariants, and collect first witnesses."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
-from math import prod
 
 import numpy as np
 
 from .errors import PreconditionError
-from .models import AbelianModel, CyclicData
+from .models import AbelianModel, CyclicData, sigma_table
 
 
 @dataclass(frozen=True)
@@ -61,28 +59,21 @@ class SweepReport:
         return out
 
 
-# Grid cells per kernel block: bounds the memory one block of pairs takes.
+# Grid cells per block of the sweep's walk: bounds the memory one block of
+# pairs takes.
 _BLOCK_CELLS = 1 << 13
 
-
-def _padded(rows, width: int, fill):
-    return [list(row) + [fill] * (width - len(row)) for row in rows]
+# Triples per block of the full walk's dense pole-order rows.
+_DENSE_TRIPLES = 1 << 15
 
 
 class TripleKernel:
-    """Pole-order kernel for a run of abelian models that share p.
+    """Pole-order kernel for one abelian model.
 
-    The run's elements are numbered model by model: element x of models[i],
-    in mixed-radix index order as ``encode`` gives it, is ``base[i] + x``.
-    ``noninv`` lists the elements the shift moves, model by model; a position
-    is an index into it, and a pair (a, b) of positions of one model stands
-    for theta1 = noninv[a], theta2 = noninv[b].  ``label_model[a]`` is the
-    model of position a, ``m[i]`` the number of positions of models[i] and
-    ``label_base[i]`` the first of them.  Pairs are numbered in (model,
-    theta1, theta2) index order: ``pair_number`` gives pair_base[i] + (a -
-    label_base[i]) * m[i] + (b - label_base[i]).  Coordinates are padded to
-    the run's largest rank with factors of 1, so every model is handled by
-    the same array operations.
+    Elements are indexed by mixed radix, as in ``model.encode``.  ``noninv``
+    lists the indices of the labels the shift moves, and a pair (a, b) of
+    positions in it stands for theta1 = noninv[a], theta2 = noninv[b].
+    Pairs are numbered a * m + b, which is (theta1, theta2) index order.
 
     The grid of the pair (shift^s theta1, shift^t theta2) is the grid of
     (theta1, theta2) with its rows and columns shifted cyclically, chi'[j, k]
@@ -91,135 +82,93 @@ class TripleKernel:
     position of shift^t(noninv[a]); p is prime, so the p positions of a row
     are distinct, and ``rep[a]``, the least of them, stands for the orbit.
     ``reps`` lists the positions that lead their orbits, in order, and the
-    pairs of reps x reps of one model are the representative pairs, each the
-    least pair of its orbit.
+    pairs of reps x reps are the representative pairs, each the least pair
+    of its orbit.
     """
 
-    def __init__(self, models, start: int = 0):
-        self.models = tuple(models)
-        self.start = start  # the family index of models[0], as triples report it
-        self.p = p = self.models[0].p
-        if any(model.p != p for model in self.models):
-            raise PreconditionError("the models of one kernel must share p")
-        rank = max(len(model.factors) for model in self.models)
-        padded = _padded((model.factors for model in self.models), rank, 1)
-        layout = np.array([[row, [prod(row[i + 1 :]) for i in range(rank)]] for row in padded])
-        factors, strides = layout[:, 0], layout[:, 1]
-        sigma = np.array(
-            [_padded([*model.sigma, *[()] * (rank - len(model.sigma))], rank, 0) for model in self.models]
-        )
-        self.n = factors.prod(axis=1)
-        self.base = self.n.cumsum() - self.n
-        owner = np.arange(len(self.models)).repeat(self.n)
-        local = np.arange(len(owner)) - self.base[owner]
-        d, s = factors[owner], strides[owner]
-        coords = local[:, None] // s % d
-        # the local index of shift(x) for every element x
-        image = ((sigma[owner] @ coords[:, :, None])[:, :, 0] % d * s).sum(axis=1)
-        self.invariant = image == local
-        self.noninv = (~self.invariant).nonzero()[0]
-        self.label_model = owner[self.noninv]
-        self.m = np.bincount(self.label_model, minlength=len(self.models))
-        self.label_base = self.m.cumsum() - self.m
-        squares = self.m * self.m
-        self.pair_base = squares.cumsum() - squares
-        self._bases = self.base[self.label_model]
-        # orbits[t, a]: the position of shift^t(noninv[a])
-        step = self.noninv.searchsorted(image[self.noninv] + self._bases)
-        orbits = [np.arange(len(self.noninv))]
-        for _ in range(1, p):
-            orbits.append(step[orbits[-1]])
-        orbits = np.array(orbits)
-        self.orbit = orbits.T
-        self.rep = orbits.min(axis=0)
-        self.reps = (self.rep == orbits[0]).nonzero()[0]
-        # [i, t, a]: -(coordinate i of shift^t(noninv[a])) mod d_i, times the
-        # stride; [i, a]: d_i times the stride, for the model of noninv[a]
-        self._coords = ((-coords) % d * s).T[:, self.noninv[orbits]]
-        self._moduli = (d * s).T[:, self.noninv]
+    def __init__(self, model: AbelianModel):
+        self.model = model
+        self.p, self.n = model.p, model.order
+        factors = model.factors
+        strides = np.cumprod([1, *factors[:0:-1]])[::-1].tolist()
+        index = sigma_table(factors, model._sigma_powers)
+        self.invariant = index[1] == np.arange(self.n)
+        self.noninv = np.flatnonzero(~self.invariant)
+        self.m = len(self.noninv)
+        shifted = index[:, self.noninv]  # [t, a]: the index of shift^t(noninv[a])
+        self.orbit = np.searchsorted(self.noninv, shifted.T)
+        self.rep = self.orbit.min(axis=1)
+        self.reps = np.flatnonzero(self.rep == np.arange(self.m))
+        # per coordinate: that coordinate of shift^t(noninv[a]) at [t, a],
+        # and -x mod d times the stride for a sum x of two
+        self._coords = [shifted // s % d for d, s in zip(factors, strides)]
+        self._neg = [(-np.arange(2 * d - 1)) % d * s for d, s in zip(factors, strides)]
+
+    def blocks(
+        self, positions: np.ndarray | None = None, npairs: int | None = None, step: int | None = None
+    ):
+        """(a, b, chi) for the pairs (a, b) with a and b in the sorted array
+        `positions` (default every position) and pair number below `npairs`
+        (default m * m), in index order, `step` pairs a block (default: a
+        grid of at most _BLOCK_CELLS cells): a and b are position arrays and
+        chi = self.chi(a, b).  Only one block of pairs is ever held."""
+        if positions is None:
+            positions = np.arange(self.m)
+        k = len(positions)
+        count = k * k
+        if npairs is not None and npairs < self.m * self.m:
+            # whole rows of positions before row npairs // m, then the part
+            # of that row (if it is a position) below column npairs % m
+            row, col = divmod(npairs, self.m)
+            full = int(np.searchsorted(positions, row))
+            in_row = full < k and positions[full] == row
+            count = full * k + (int(np.searchsorted(positions, col)) if in_row else 0)
+        if step is None:
+            step = max(1, _BLOCK_CELLS // self.p**2)
+        for lo in range(0, count, step):
+            i, j = np.divmod(np.arange(lo, min(lo + step, count)), k)
+            a, b = positions[i], positions[j]
+            yield a, b, self.chi(a, b)
+
+    def dense_blocks(self, npairs: int | None = None):
+        """(a, b, chi, ell) for every pair numbered below `npairs` (default
+        m * m), in index order, at most _DENSE_TRIPLES triples a block: the
+        full walk, with ell = pole_orders(chi, n) the dense rows of pole
+        orders over every chi."""
+        for a, b, chi in self.blocks(npairs=npairs, step=max(1, _DENSE_TRIPLES // self.n)):
+            yield a, b, chi, pole_orders(chi, self.n)
+
+    def orbit_members(self, pairs: np.ndarray) -> np.ndarray:
+        """members[i]: the p * p pair numbers of the orbit of pair pairs[i],
+        (shift^s theta1, shift^t theta2) at s * p + t."""
+        a, b = np.divmod(pairs, self.m)
+        members = self.orbit[a][:, :, None] * self.m + self.orbit[b][:, None, :]
+        return members.reshape(len(pairs), -1)
 
     def chi(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """chi[q, j, k]: the element turning cell (j, k) of pair q on,
+        """chi[q, j, k]: index of the chi turning cell (j, k) of pair q on,
         -(shift^j(theta2) + shift^k(theta1)).  The array is laid out as
         [j, k, q], pairs innermost, which keeps numpy's inner loops long:
         ``chi.transpose(1, 2, 0)`` is contiguous."""
-        x = self._coords
-        cells = x.take(b, axis=2)[:, :, None, :] + x.take(a, axis=2)[:, None, :, :]
-        modulus = self._moduli.take(a, axis=1)[:, None, None, :]
-        cells = np.where(cells < modulus, cells, cells - modulus)
-        return (cells.sum(axis=0) + self._bases.take(a)).transpose(2, 0, 1)
+        out = 0
+        for x, neg in zip(self._coords, self._neg):
+            out = out + neg[x.take(b, axis=1)[:, None, :] + x.take(a, axis=1)[None, :, :]]
+        return out.transpose(2, 0, 1)
 
-    def pair_number(self, a, b):
-        """The number of the pair (a, b) of positions of one model."""
-        mi = self.label_model[a]
-        first = self.label_base[mi]
-        return self.pair_base[mi] + (a - first) * self.m[mi] + (b - first)
-
-    def blocks(self, stop: int | None = None):
-        """(mi, a, b, chi) for the representative pairs (a, b) numbered below
-        `stop` (default: every one), in pair-number order, a grid of at most
-        _BLOCK_CELLS cells at a time: mi is each pair's model, a and b are
-        position arrays and chi = self.chi(a, b).  Only one block of pairs is
-        ever held."""
-        k = np.bincount(self.label_model[self.reps], minlength=len(self.models))
-        first = np.cumsum(k) - k
-        count = k * k
-        if stop is not None:
-            # models wholly below stop, then the part of the model holding it:
-            # whole rows of reps before row npairs // m, then the part of that
-            # row (if it is a representative) below column npairs % m
-            cut = int(np.searchsorted(self.pair_base, stop, side="right")) - 1
-            count[cut + 1 :] = 0
-            npairs, m = stop - int(self.pair_base[cut]), int(self.m[cut])
-            if npairs < m * m:
-                own = self.reps[first[cut] : first[cut] + k[cut]] - self.label_base[cut]
-                row, col = divmod(npairs, m)
-                full = int(np.searchsorted(own, row))
-                in_row = full < len(own) and own[full] == row
-                count[cut] = full * k[cut] + (int(np.searchsorted(own, col)) if in_row else 0)
-        ends = np.cumsum(count)
-        starts, total = ends - count, int(ends[-1])
-        step = max(1, _BLOCK_CELLS // self.p**2)
-        for lo in range(0, total, step):
-            g = np.arange(lo, min(lo + step, total))
-            mi = np.searchsorted(ends, g, side="right")
-            x, y = np.divmod(g - starts[mi], k[mi])
-            a, b = self.reps[first[mi] + x], self.reps[first[mi] + y]
-            yield mi, a, b, self.chi(a, b)
-
-    def members(self, a: np.ndarray, b: np.ndarray):
-        """(A, B): the p * p pairs of the orbit of each pair (a[i], b[i]),
-        (shift^s theta1, shift^t theta2) at [i, s * p + t]."""
-        shape = (len(a), self.p, self.p)
-        A = np.broadcast_to(self.orbit[a][:, :, None], shape).reshape(len(a), -1)
-        B = np.broadcast_to(self.orbit[b][:, None, :], shape).reshape(len(a), -1)
-        return A, B
-
-    def triple(self, a, b, c, ell) -> dict:
-        mi = int(self.label_model[a])
-        model, base = self.models[mi], int(self.base[mi])
+    def triple(self, model_index: int, a, b, c, ell) -> dict:
+        decode = self.model.decode
         return {
-            "model": self.start + mi,
-            "theta1": list(model.decode(int(self.noninv[a]) - base)),
-            "theta2": list(model.decode(int(self.noninv[b]) - base)),
-            "chi": list(model.decode(int(c) - base)),
+            "model": model_index,
+            "theta1": list(decode(int(self.noninv[a]))),
+            "theta2": list(decode(int(self.noninv[b]))),
+            "chi": list(decode(int(c))),
             "ell": int(ell),
         }
 
 
-def _kernels(family: SweepFamily):
-    """One kernel per run of consecutive models of the family that share p,
-    in family order."""
-    start = 0
-    for _, run in itertools.groupby(family.models, key=lambda model: model.p):
-        kernel = TripleKernel(run, start)
-        start += len(kernel.models)
-        yield kernel
-
-
 def pole_orders(chi: np.ndarray, n: int) -> np.ndarray:
     """ell[q, c]: on-cells of pair q for the chi of index c, by one offset
-    bincount over a block of `TripleKernel.chi` whose values lie below n."""
+    bincount over a block of `TripleKernel.chi`."""
     keys = chi + (np.arange(len(chi)) * n)[:, None, None]
     return np.bincount(keys.ravel("K"), minlength=len(chi) * n).reshape(len(chi), n)
 
@@ -245,32 +194,30 @@ def grid_conflicts(chi: np.ndarray):
 
 
 class _Runs:
-    """A block of grids reduced to its runs of equal chi.
+    """A block of grids of one model reduced to its runs of equal chi.
 
     Run r is chi value ``value[r]`` on ``length[r]`` cells of the grid of
     pair ``row[r]``: the pole order of that triple.  Runs come in (pair,
-    chi) order.  Every chi of the pair's model off its grid has pole order
-    0; there are ``gaps[q]`` of them for pair q."""
+    chi) order.  Every chi of the model off a pair's grid has pole order 0;
+    there are ``gaps[q]`` of them for pair q."""
 
-    def __init__(self, kernel: TripleKernel, mi: np.ndarray, chi: np.ndarray):
-        self.kernel, self.mi = kernel, mi
-        pairs, n = len(chi), len(kernel.invariant)
+    def __init__(self, kernel: TripleKernel, chi: np.ndarray):
+        self.kernel = kernel
+        pairs, n = len(chi), kernel.n
         # one sort of the keys q * n + chi groups the cells by pair, then chi
-        keys = chi.transpose(1, 2, 0) + np.arange(pairs) * n
-        keys = np.sort(keys, axis=None)
+        keys = np.sort(chi.transpose(1, 2, 0) + np.arange(pairs) * n, axis=None)
         head = np.ones(len(keys), dtype=bool)
         head[1:] = keys[1:] != keys[:-1]
         starts = np.flatnonzero(head)
         self.row, self.value = np.divmod(keys[starts], n)
         self.length = np.diff(starts, append=len(keys))
-        self.gaps = kernel.n[mi] - np.bincount(self.row, minlength=pairs)
+        self.gaps = n - np.bincount(self.row, minlength=pairs)
 
     def counts(self, weights: np.ndarray, good: np.ndarray) -> np.ndarray:
         """counts[ell]: the triples of pole order ell, when pair q stands for
         weights[q] pairs and only the runs of the mask `good` count."""
-        weights_of_runs = weights[self.row[good]]
         # exact: the weighted sums are integers far below 2**53
-        counts = np.bincount(self.length[good], weights_of_runs, minlength=1).astype(np.int64)
+        counts = np.bincount(self.length[good], weights[self.row[good]], minlength=1).astype(np.int64)
         counts[0] = weights @ self.gaps
         return counts
 
@@ -278,7 +225,7 @@ class _Runs:
         """Mask of the runs whose (pair, chi) is among the (q[i], c[i])."""
         if not len(q):
             return np.zeros(len(self.row), dtype=bool)
-        n = len(self.kernel.invariant)
+        n = self.kernel.n
         return np.isin(self.row * n + self.value, q * n + c)
 
     def first(self, ell: int, among=None, moved_only: bool = False):
@@ -289,17 +236,14 @@ class _Runs:
         if ell == 0:
             gaps = self.gaps
             if moved_only:
-                on = np.bincount(self.row[moved[self.value]], minlength=len(gaps))
-                gaps = self.kernel.m[self.mi] - on
+                gaps = self.kernel.m - np.bincount(self.row[moved[self.value]], minlength=len(gaps))
             hit = np.flatnonzero(gaps > 0)
             if not len(hit):
                 return None
             q = int(hit[0])
-            lo = int(self.kernel.base[self.mi[q]])
-            free = moved if moved_only else np.ones(len(moved), dtype=bool)
-            free = free[lo : lo + int(self.kernel.n[self.mi[q]])].copy()
-            free[self.value[self.row == q] - lo] = False
-            return q, lo + int(np.argmax(free))
+            free = moved.copy() if moved_only else np.ones(self.kernel.n, dtype=bool)
+            free[self.value[self.row == q]] = False
+            return q, int(np.argmax(free))
         hits = self.length == ell
         if among is not None:
             hits &= among
@@ -342,50 +286,44 @@ def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
     0.  The first pair of a pole order is a representative, so the
     witnesses are those of the full walk, and a violation or breach found
     on a representative is reported for every member of its orbit inside
-    the prefix, at the same chi, in (model, theta1, theta2, chi) index
-    order.
+    the prefix, at the same chi, in (theta1, theta2, chi) index order.
     """
     if budget.strategy == "sample":
         return _sweep_sampled(family, budget)
 
     models = [m.describe() for m in family.models]
     report = SweepReport("exhaustive", complete=True, triples_examined=0, models=models)
-    for kernel in _kernels(family):
-        triples = kernel.m**2 * kernel.n
-        stop, examined = None, int(triples.sum())
-        if budget.limit is not None:
-            room = budget.limit - report.triples_examined
-            over = np.flatnonzero(np.cumsum(triples) > room)
-            if len(over):
-                cut = int(over[0])
-                before = int(triples[:cut].sum())
-                npairs = (room - before) // int(kernel.n[cut])
-                stop = int(kernel.pair_base[cut]) + npairs
-                examined = before + npairs * int(kernel.n[cut])
-                report.complete = False
-        _sweep_run(report, kernel, stop)
-        report.triples_examined += examined
+    for mi, model in enumerate(family.models):
+        kernel = TripleKernel(model)
+        n = kernel.n
+        npairs = kernel.m * kernel.m
+        if budget.limit is not None and report.triples_examined + npairs * n > budget.limit:
+            npairs = (budget.limit - report.triples_examined) // n
+            report.complete = False
+        _sweep_model(report, kernel, mi, npairs)
+        report.triples_examined += npairs * n
         if not report.complete:
             break
     return report
 
 
-def _sweep_run(report: SweepReport, kernel: TripleKernel, stop: int | None) -> None:
-    """Add the pairs of `kernel` numbered below `stop` (default all) to
-    `report`, a block of representative pairs at a time."""
-    found = ([], [])  # (pair number, a, b, c, ell) of the violations and breaches
-    bound = np.inf if stop is None else stop
-    for mi, a, b, chi in kernel.blocks(stop=stop):
-        runs = _Runs(kernel, mi, chi)
+def _sweep_model(report: SweepReport, kernel: TripleKernel, mi: int, npairs: int) -> None:
+    """Add the pairs of model `mi` numbered below `npairs` to `report`, a
+    block of representative pairs at a time."""
+    found = ([], [])  # (pair, c, ell) of the violations and breaches
+    whole = npairs == kernel.m * kernel.m
+    for a, b, chi in kernel.blocks(kernel.reps, npairs):
+        runs = _Runs(kernel, chi)
         good = ~runs.marked(*grid_conflicts(chi))
-        if stop is None:
-            weights = np.full(len(a), kernel.p**2)
+        pairs = a * kernel.m + b
+        if whole:
+            weights = np.full(len(pairs), kernel.p**2)
         else:  # the orbit members inside the prefix, which each pair stands for
-            weights = (kernel.pair_number(*kernel.members(a, b)) < bound).sum(axis=1)
+            weights = (kernel.orbit_members(pairs) < npairs).sum(axis=1)
 
         def first(ell):
             q, c = runs.first(ell, good)
-            return kernel.triple(a[q], b[q], c, ell)
+            return kernel.triple(mi, a[q], b[q], c, ell)
 
         _count(report, runs.counts(weights, good), first)
         flagged = [~good]
@@ -394,52 +332,44 @@ def _sweep_run(report: SweepReport, kernel: TripleKernel, stop: int | None) -> N
         for out, flags in zip(found, flagged):
             r = np.flatnonzero(flags)
             if len(r):
-                A, B = kernel.members(a[runs.row[r]], b[runs.row[r]])
-                number = kernel.pair_number(A, B)
-                keep = number < bound
-                c = np.broadcast_to(runs.value[r][:, None], A.shape)
-                ell = np.broadcast_to(runs.length[r][:, None], A.shape)
-                out.append(tuple(x[keep] for x in (number, A, B, c, ell)))
-    report.violations.extend(_render(kernel, found[0]))
-    report.rigidity_breaches.extend(_render(kernel, found[1]))
+                members = kernel.orbit_members(pairs[runs.row[r]])
+                rows, cols = np.nonzero(members < npairs)
+                out.append((members[rows, cols], runs.value[r][rows], runs.length[r][rows]))
+    report.violations.extend(_render(kernel, mi, found[0]))
+    report.rigidity_breaches.extend(_render(kernel, mi, found[1]))
 
 
-def _render(kernel: TripleKernel, found: list) -> list[dict]:
-    """The triples (pair number, a, b, c, ell) of `found`, rendered in
-    (pair number, c) order."""
+def _render(kernel: TripleKernel, mi: int, found: list) -> list[dict]:
+    """The triples (pair, c, ell) of `found`, rendered in (pair, c) index
+    order."""
     if not found:
         return []
-    number, a, b, c, ell = (np.concatenate(x) for x in zip(*found))
-    return [kernel.triple(a[i], b[i], c[i], ell[i]) for i in np.lexsort((c, number))]
+    q, c, ell = (np.concatenate(x) for x in zip(*found))
+    a, b = np.divmod(q, kernel.m)
+    return [kernel.triple(mi, a[i], b[i], c[i], ell[i]) for i in np.lexsort((c, q))]
 
 
 def _sweep_sampled(family: SweepFamily, budget: SweepBudget) -> SweepReport:
     if not family.models:
         raise PreconditionError("cannot sample from an empty family")
     rng = np.random.default_rng(budget.seed)
-    kernels = list(_kernels(family))
-    # each model's kernel, and its label and element counts
-    kernel_of = [kernel for kernel in kernels for _ in kernel.models]
-    sizes = [(int(m), int(n)) for kernel in kernels for m, n in zip(kernel.m, kernel.n)]
-    usable = [mi for mi, (m, _) in enumerate(sizes) if m]
+    kernels = [TripleKernel(m) for m in family.models]
+    usable = [mi for mi, k in enumerate(kernels) if k.m]
     if not usable:
         raise PreconditionError("no model in the family has non-invariant labels")
 
     draws = np.zeros((budget.samples, 4), dtype=np.intp)
     for row in draws:
         mi = usable[int(rng.integers(len(usable)))]
-        m, n = sizes[mi]
+        m, n = kernels[mi].m, kernels[mi].n
         row[:] = mi, rng.integers(m), rng.integers(m), rng.integers(n)
-    mis, a, b, c = draws.T  # a, b and c become positions and elements of the kernel
+    mis, a, b, c = draws.T
     ells = np.zeros(budget.samples, dtype=np.intp)
     bad = np.zeros(budget.samples, dtype=bool)
     chi_moved = np.zeros(budget.samples, dtype=bool)
-    for k in kernels:
-        rows = np.flatnonzero((mis >= k.start) & (mis < k.start + len(k.models)))
-        mi = mis[rows] - k.start
-        a[rows] += k.label_base[mi]
-        b[rows] += k.label_base[mi]
-        c[rows] += k.base[mi]
+    for mi in sorted(set(mis.tolist())):
+        k = kernels[mi]
+        rows = np.flatnonzero(mis == mi)
         step = max(1, _BLOCK_CELLS // k.p**2)
         for r in (rows[lo : lo + step] for lo in range(0, len(rows), step)):
             chi = k.chi(a[r], b[r])
@@ -456,7 +386,7 @@ def _sweep_sampled(family: SweepFamily, budget: SweepBudget) -> SweepReport:
         rng={"name": "numpy-pcg64", "seed": budget.seed},
         models=[m.describe() for m in family.models],
     )
-    triple = lambda s: kernel_of[mis[s]].triple(a[s], b[s], c[s], ells[s])
+    triple = lambda s: kernels[mis[s]].triple(int(mis[s]), a[s], b[s], c[s], ells[s])
     good = ~bad
     _count(
         report,
@@ -480,13 +410,14 @@ def find_witness(
 
     Returns None when the family contains no such triple.
     """
-    for kernel in _kernels(family):
-        target = kernel.p if target_ell is None else target_ell
-        for mi, a, b, chi in kernel.blocks():
-            hit = _Runs(kernel, mi, chi).first(target, moved_only=require_noninvariant_chi)
+    for mi, model in enumerate(family.models):
+        kernel = TripleKernel(model)
+        target = model.p if target_ell is None else target_ell
+        for a, b, chi in kernel.blocks(kernel.reps):
+            hit = _Runs(kernel, chi).first(target, moved_only=require_noninvariant_chi)
             if hit is not None:
                 q, c = hit
-                return kernel.triple(a[q], b[q], c, target)
+                return kernel.triple(mi, a[q], b[q], c, target)
     return None
 
 

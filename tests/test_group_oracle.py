@@ -539,14 +539,13 @@ def test_agreement_sweep_compares_every_triple(model, oracle_sums, monkeypatch):
     # representative: the sweep must still report exactly that triple.  The
     # package exports the function `sweep` under the module's name.
     sweep_module = importlib.import_module("triplepole.sweep")
-    kernel = sweep_module.TripleKernel([model])
-    m = len(kernel.noninv)
+    kernel = sweep_module.TripleKernel(model)
     reps = group_oracle._orbit_reps(oracle_group(model))
     noninv = kernel.noninv.tolist()
     moved = [pos for pos, i in enumerate(noninv) if reps[i] != i]
     a, b = moved[-1], moved[len(moved) // 2]
     c = max(i for i in range(model.order) if reps[i] != i)
-    target = a * m + b
+    target = a * kernel.m + b
     real = sweep_module.pole_orders
     seen = [0]
 
@@ -558,12 +557,12 @@ def test_agreement_sweep_compares_every_triple(model, oracle_sums, monkeypatch):
         seen[0] += len(ells)
         return ells
 
-    monkeypatch.setattr(group_oracle, "pole_orders", bumped)
+    monkeypatch.setattr(sweep_module, "pole_orders", bumped)
     rep = oracle_agreement_sweep(model)
     labels = [model.label(model.decode(i)) for i in (noninv[a], noninv[b], c)]
     ell = matching_matrix(*labels).ell
-    assert seen[0] == m**2
-    assert rep["triples"] == m**2 * model.order
+    assert seen[0] == kernel.m**2
+    assert rep["triples"] == kernel.m**2 * model.order
     assert rep["oracle_sums"] == oracle_sums
     assert rep["mismatches"] == [
         {

@@ -20,7 +20,6 @@ from triplepole.sweep import (
     SweepBudget,
     SweepFamily,
     TripleKernel,
-    _kernels,
     _Runs,
     catalogue_cyclic,
     catalogue_rank2,
@@ -48,18 +47,6 @@ def m3sq():
 # the kernel equals the reference matrix
 
 
-def every_pair(kernel, stop=None):
-    """(a, b, chi) for the pairs of a one-model kernel numbered below `stop`
-    (default: all of them), in index order, in blocks small enough for
-    dense pole-order rows."""
-    m = len(kernel.noninv)
-    total = m * m if stop is None else stop
-    step = max(1, (1 << 15) // int(kernel.n[0]))
-    for lo in range(0, total, step):
-        a, b = np.divmod(np.arange(lo, min(lo + step, total)), m)
-        yield a, b, kernel.chi(a, b)
-
-
 def conflict_rows(chi, n):
     """Mask [q, c]: grid_conflicts as dense rows of n chi values."""
     bad = np.zeros((len(chi), n), dtype=bool)
@@ -70,10 +57,9 @@ def conflict_rows(chi, n):
 def kernel_cells(model):
     """{(theta1, theta2, chi) indices: (on-cells, ell)} from the kernel over
     every pair of non-invariant labels."""
-    kernel = TripleKernel([model])
+    kernel = TripleKernel(model)
     out = {}
-    for a, b, chi in every_pair(kernel):
-        ells = pole_orders(chi, model.order)
+    for a, b, chi, ells in kernel.dense_blocks():
         assert len(grid_conflicts(chi)[0]) == 0
         for q in range(len(a)):
             i1, i2 = int(kernel.noninv[a[q]]), int(kernel.noninv[b[q]])
@@ -88,75 +74,34 @@ def kernel_cells(model):
 Z109 = AbelianModel(factors=(109,), sigma=((45,),), cyclic=CyclicData(3))
 
 
-@pytest.mark.parametrize("stop", [None, 0, 1, 519, 520, 909, 910, 1234, 3600, 11663])
-def test_blocks_walk_every_pair_once_in_index_order(stop):
-    kernel = TripleKernel([Z109])
-    m = len(kernel.noninv)
+@pytest.mark.parametrize("npairs", [None, 0, 1, 519, 520, 909, 910, 1234, 3600, 11663])
+def test_blocks_walk_every_pair_once_in_index_order(npairs):
+    kernel = TripleKernel(Z109)
+    m = kernel.m
     assert (m, len(kernel.reps)) == (108, 36)
-    reps = kernel.reps.tolist()
-    want = [a * m + b for a in reps for b in reps if stop is None or a * m + b < stop]
-    blocks = list(kernel.blocks(stop))
-    assert [len(a) for _, a, _, _ in blocks] == [910] * (len(want) // 910) + (
-        [len(want) % 910] if len(want) % 910 else []
-    )
-    walked = [kernel.pair_number(a, b) for _, a, b, _ in blocks]
-    assert np.concatenate(walked or [[]]).tolist() == want
-    for mi, a, b, chi in blocks:
-        assert not mi.any()
+    total = m * m if npairs is None else npairs
+    # every position, the representatives and other position sets: the
+    # pairs of positions x positions below npairs, 910 to a block
+    sets = (None, kernel.reps, np.array([0, 7, 8, 59]), np.arange(1, 108, 3), np.array([], int))
+    for positions in sets:
+        listed = np.arange(m) if positions is None else positions
+        want = [a * m + b for a in listed.tolist() for b in listed.tolist() if a * m + b < total]
+        blocks = list(kernel.blocks(positions, npairs))
+        assert [len(a) for a, _, _ in blocks] == [910] * (len(want) // 910) + (
+            [len(want) % 910] if len(want) % 910 else []
+        )
+        walked = [a * m + b for a, b, _ in blocks]
+        assert np.concatenate(walked or [[]]).tolist() == want
+        for a, b, chi in blocks:
+            assert np.array_equal(chi, kernel.chi(a, b))
+    # the full walk with dense rows, 300 pairs (2^15 // 109 triples) to a block
+    blocks = list(kernel.dense_blocks(npairs))
+    assert len(blocks) == -(-total // 300)
+    walked = [a * m + b for a, b, _, _ in blocks]
+    assert np.concatenate(walked or [[]]).tolist() == list(range(total))
+    for a, b, chi, ells in blocks:
         assert np.array_equal(chi, kernel.chi(a, b))
-    # the full walk of the tests' references, in index order
-    walked = [a * m + b for a, b, _ in every_pair(kernel, stop)]
-    assert np.concatenate(walked or [[]]).tolist() == list(range(m * m if stop is None else stop))
-
-
-RUN = (
-    AbelianModel(factors=(7,), sigma=((2,),), cyclic=CyclicData(3)),
-    Z109,
-    AbelianModel(factors=(3, 3), sigma=((0, 2), (1, 2)), cyclic=CyclicData(3)),
-    AbelianModel(factors=(13,), sigma=((3,),), cyclic=CyclicData(3)),
-)
-
-
-@pytest.mark.parametrize(
-    "stop", [None, 0, 35, 36, 37, 5000, 11699, 11700, 11701, 11735, 11736, 11800, 11880]
-)
-def test_blocks_span_the_models_of_a_run(stop):
-    # Z/7, Z/109, (Z/3)^2 and Z/13 at p = 3: 6, 108, 6 and 12 labels, so
-    # the pairs of Z/109 are numbered 36 .. 11699, those of (Z/3)^2
-    # 11700 .. 11735; 4 + 1296 + 4 + 16 representative pairs, so the second
-    # block holds pairs of three models
-    kernel = TripleKernel(RUN, start=4)
-    assert kernel.m.tolist() == [6, 108, 6, 12]
-    assert kernel.pair_base.tolist() == [0, 36, 11700, 11736]
-    singles = [TripleKernel([model]) for model in RUN]
-    want = []  # (model, theta1, theta2) of each representative pair, in index order
-    for mi, single in enumerate(singles):
-        for a in single.reps.tolist():
-            for b in single.reps.tolist():
-                q = kernel.pair_base[mi] + a * single.m[0] + b
-                if stop is None or q < stop:
-                    want.append((mi, int(single.noninv[a]), int(single.noninv[b])))
-    blocks = list(kernel.blocks(stop))
-    sizes = [len(a) for _, a, _, _ in blocks]
-    assert all(size == 910 for size in sizes[:-1]) and sum(sizes) == len(want)
-    if stop is None:
-        assert [sorted(set(mi.tolist())) for mi, _, _, _ in blocks] == [[0, 1], [1, 2, 3]]
-    got = []
-    for mi, a, b, chi in blocks:
-        assert np.array_equal(mi, kernel.label_model[a])
-        assert np.array_equal(kernel.label_model[b], mi)
-        base = kernel.base[mi]
-        for q in range(len(a)):
-            single = singles[mi[q]]
-            i1 = int(kernel.noninv[a[q]] - base[q])
-            i2 = int(kernel.noninv[b[q]] - base[q])
-            got.append((int(mi[q]), i1, i2))
-            one = single.chi(*np.searchsorted(single.noninv, [[i1], [i2]]))
-            assert np.array_equal(chi[q] - base[q], one[0])
-    assert got == want
-    assert kernel.triple(kernel.label_base[2], kernel.label_base[2] + 1, kernel.base[2] + 4, 0) == {
-        "model": 6, "theta1": [0, 1], "theta2": [0, 2], "chi": [1, 1], "ell": 0,
-    }
+        assert np.array_equal(ells, pole_orders(chi, kernel.n))
 
 
 def reference_cells(model, i1, i2, ic):
@@ -195,9 +140,9 @@ small_models_p235 = st.sampled_from([2, 3, 5]).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(small_models_p235, st.data())
 def test_kernel_matches_reference_on_random_models(model, data):
-    kernel = TripleKernel([model])
-    a = data.draw(st.integers(0, len(kernel.noninv) - 1))
-    b = data.draw(st.integers(0, len(kernel.noninv) - 1))
+    kernel = TripleKernel(model)
+    a = data.draw(st.integers(0, kernel.m - 1))
+    b = data.draw(st.integers(0, kernel.m - 1))
     chi = kernel.chi(np.array([a]), np.array([b]))
     ells = pole_orders(chi, model.order)[0]
     assert len(grid_conflicts(chi)[0]) == 0
@@ -219,48 +164,41 @@ def brute_conflicts(grid):
     }
 
 
-runs_of_models = st.sampled_from([2, 3, 5]).flatmap(
-    lambda p: st.lists(st.sampled_from(small_abelian_models(p)), min_size=1, max_size=3)
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(runs_of_models, st.data())
-def test_grid_reduction_equals_the_dense_rows(models, data):
+@given(small_models_p235, st.data())
+def test_grid_reduction_equals_the_dense_rows(model, data):
     """Runs, gaps, conflicts, counts and first hits of a block of grids, some
     with cells overwritten by other cells' chi, equal what the dense
     pole-order rows of the same block show."""
-    kernel = TripleKernel(models)
-    p = kernel.p
-    pairs = data.draw(st.lists(st.integers(0, len(models) - 1), min_size=1, max_size=6))
-    mi = np.array(pairs)
-    a = np.array([kernel.label_base[i] + data.draw(st.integers(0, kernel.m[i] - 1)) for i in pairs])
-    b = np.array([kernel.label_base[i] + data.draw(st.integers(0, kernel.m[i] - 1)) for i in pairs])
+    kernel = TripleKernel(model)
+    p, n = kernel.p, kernel.n
+    pairs = data.draw(st.integers(1, 6))
+    a = np.array(data.draw(st.lists(st.integers(0, kernel.m - 1), min_size=pairs, max_size=pairs)))
+    b = np.array(data.draw(st.lists(st.integers(0, kernel.m - 1), min_size=pairs, max_size=pairs)))
     chi = kernel.chi(a, b)
-    cell = st.tuples(st.integers(0, len(pairs) - 1), *[st.integers(0, p - 1)] * 4)
+    cell = st.tuples(st.integers(0, pairs - 1), *[st.integers(0, p - 1)] * 4)
     for q, j, k, j2, k2 in data.draw(st.lists(cell, max_size=4)):
         chi[q, j, k] = chi[q, j2, k2]
-    weights = np.array(data.draw(st.lists(st.integers(1, p * p), min_size=len(pairs), max_size=len(pairs))))
+    weights = np.array(data.draw(st.lists(st.integers(1, p * p), min_size=pairs, max_size=pairs)))
 
-    runs = _Runs(kernel, mi, chi)
+    runs = _Runs(kernel, chi)
     good = ~runs.marked(*grid_conflicts(chi))
+    rows = pole_orders(chi, n)
     want = {}  # ell: weighted triples off the conflicts
     firsts = {}  # (ell, moved only): first (q, c) in (pair, chi) order, off the conflicts
-    for q in range(len(pairs)):
-        base, n = int(kernel.base[mi[q]]), int(kernel.n[mi[q]])
-        row = pole_orders(chi[q : q + 1] - base, n)[0]
+    for q in range(pairs):
         bad = brute_conflicts(chi[q].tolist())
-        on = {base + c: int(row[c]) for c in np.flatnonzero(row)}
+        on = {int(c): int(rows[q, c]) for c in np.flatnonzero(rows[q])}
         assert {int(v): int(e) for v, e in zip(runs.value[runs.row == q], runs.length[runs.row == q])} == on
         assert runs.gaps[q] == n - len(on)
         assert set(runs.value[(runs.row == q) & ~good].tolist()) == bad
         for c in range(n):
-            if base + c not in bad:
-                ell = int(row[c])
+            if c not in bad:
+                ell = int(rows[q, c])
                 want[ell] = want.get(ell, 0) + int(weights[q])
-                firsts.setdefault((ell, False), (q, base + c))
-                if not kernel.invariant[base + c]:
-                    firsts.setdefault((ell, True), (q, base + c))
+                firsts.setdefault((ell, False), (q, c))
+                if not kernel.invariant[c]:
+                    firsts.setdefault((ell, True), (q, c))
     counts = runs.counts(weights, good)
     assert {ell: int(x) for ell, x in enumerate(counts) if x} == want
     for ell in range(p * p + 2):
@@ -392,71 +330,61 @@ def test_report_is_json_serializable(m7):
 @given(small_models_p235, st.data())
 def test_shifting_a_pair_rolls_its_grid(model, data):
     # (shift^s theta1, shift^t theta2) has the grid chi'[j, k] = chi[j + t, k + s]
-    kernel = TripleKernel([model])
-    a = data.draw(st.integers(0, len(kernel.noninv) - 1))
-    b = data.draw(st.integers(0, len(kernel.noninv) - 1))
+    kernel = TripleKernel(model)
+    a = data.draw(st.integers(0, kernel.m - 1))
+    b = data.draw(st.integers(0, kernel.m - 1))
     s, t = data.draw(st.integers(0, model.p - 1)), data.draw(st.integers(0, model.p - 1))
     chi = kernel.chi(np.array([a]), np.array([b]))[0]
     shifted = kernel.chi(kernel.orbit[[a], s], kernel.orbit[[b], t])[0]
     assert np.array_equal(shifted, np.roll(chi, (-t, -s), axis=(0, 1)))
-    A, B = kernel.members(np.array([a]), np.array([b]))
-    assert (A[0, s * model.p + t], B[0, s * model.p + t]) == (kernel.orbit[a, s], kernel.orbit[b, t])
+    members = kernel.orbit_members(np.array([a * kernel.m + b]))[0]
+    assert members[s * model.p + t] == kernel.orbit[a, s] * kernel.m + kernel.orbit[b, t]
 
 
 def test_every_pair_has_its_representatives_pole_orders_and_conflicts():
-    for kernel in _kernels(shipped_catalogue()):
-        p = kernel.p
-        assert kernel.m.all()
-        # orbits of p distinct positions of one model, each led by its least
-        # member
-        assert (kernel.label_model[kernel.orbit] == kernel.label_model[:, None]).all()
+    for model in shipped_catalogue().models:
+        kernel = TripleKernel(model)
+        m, n, p = kernel.m, kernel.n, kernel.p
+        assert m > 0
+        # orbits of p distinct positions, each led by its least member
         assert (np.sort(kernel.orbit, axis=1) == np.sort(kernel.orbit[kernel.rep], axis=1)).all()
         assert (np.diff(np.sort(kernel.orbit, axis=1), axis=1) > 0).all()
         assert (kernel.rep == kernel.orbit.min(axis=1)).all()
         assert np.array_equal(kernel.reps, np.unique(kernel.rep))
-        # the orbits of the representative pairs split every model's pairs
-        reps = [mi for mi, a, b, _ in kernel.blocks()]
-        assert sum(map(len, reps)) * p * p == int((kernel.m**2).sum())
-        members = np.sort(
-            np.concatenate(
-                [kernel.pair_number(*kernel.members(a, b)).ravel() for _, a, b, _ in kernel.blocks()]
-            )
-        )
-        assert np.array_equal(members, np.arange(int((kernel.m**2).sum())))
-
-    for model in shipped_catalogue().models:
-        kernel = TripleKernel([model])
-        m, n = len(kernel.noninv), model.order
+        # the orbits of the representative pairs split the m * m pairs
+        pairs = (kernel.reps[:, None] * m + kernel.reps).ravel()
+        members = np.sort(kernel.orbit_members(pairs).ravel())
+        assert np.array_equal(members, np.arange(m * m)) and len(members) == len(pairs) * p * p
         rep = (kernel.rep[:, None] * m + kernel.rep).ravel()
         # a representative comes no later than its members in the full walk,
         # so its rows are kept (at slot[pair]) before any member needs them
         is_rep = rep == np.arange(m * m)
         slot = np.cumsum(is_rep) - 1
         kept = np.zeros((is_rep.sum(), 2, n), dtype=np.int64)
-        for a, b, chi in every_pair(kernel):
-            q = kernel.pair_number(a, b)
-            rows = np.stack((pole_orders(chi, n), conflict_rows(chi, n)), axis=1)
+        for a, b, chi, ells in kernel.dense_blocks():
+            q = a * m + b
+            rows = np.stack((ells, conflict_rows(chi, n)), axis=1)
             kept[slot[q[is_rep[q]]]] = rows[is_rep[q]]
             assert np.array_equal(rows, kept[slot[rep[q]]])
 
 
 def full_walk_report(family, limit=None):
     """triples_examined, complete, histogram and witnesses of an exhaustive
-    sweep, from the full walk (`every_pair`) of every pair of the prefix."""
+    sweep, from the full walk (`TripleKernel.dense_blocks`) of every pair of
+    the prefix."""
     out = {"triples_examined": 0, "complete": True, "histogram": {}, "witnesses": []}
     for mi, model in enumerate(family.models):
-        kernel = TripleKernel([model], start=mi)
-        n, npairs = model.order, len(kernel.noninv) ** 2
+        kernel = TripleKernel(model)
+        n, npairs = kernel.n, kernel.m**2
         if limit is not None and out["triples_examined"] + npairs * n > limit:
             npairs = (limit - out["triples_examined"]) // n
             out["complete"] = False
-        for a, b, chi in every_pair(kernel, npairs):
-            ells = pole_orders(chi, n)
+        for a, b, _, ells in kernel.dense_blocks(npairs):
             values, counts = np.unique(ells, return_counts=True)
             for ell, count in zip(values.tolist(), counts.tolist()):
                 if ell not in out["histogram"]:
                     q, c = divmod(int(np.argmax(ells == ell)), n)
-                    out["witnesses"].append(kernel.triple(a[q], b[q], c, ell))
+                    out["witnesses"].append(kernel.triple(mi, a[q], b[q], c, ell))
                 out["histogram"][ell] = out["histogram"].get(ell, 0) + count
         out["triples_examined"] += npairs * n
         if not out["complete"]:
@@ -468,15 +396,14 @@ def full_walk_report(family, limit=None):
 
 def full_walk_witness(family, target, require_noninvariant_chi):
     for mi, model in enumerate(family.models):
-        kernel = TripleKernel([model], start=mi)
-        for a, b, chi in every_pair(kernel):
-            ells = pole_orders(chi, model.order)
+        kernel = TripleKernel(model)
+        for a, b, _, ells in kernel.dense_blocks():
             hits = ells == (model.p if target is None else target)
             if require_noninvariant_chi:
                 hits &= ~kernel.invariant
             if hits.any():
-                q, c = divmod(int(np.argmax(hits)), model.order)
-                return kernel.triple(a[q], b[q], c, ells[q, c])
+                q, c = divmod(int(np.argmax(hits)), kernel.n)
+                return kernel.triple(mi, a[q], b[q], c, ells[q, c])
     return None
 
 
@@ -519,9 +446,9 @@ def test_a_large_model_is_walked_a_block_at_a_time():
     assert witness == full_walk_witness(family, 1, False)
 
 
-def test_a_mixed_family_walks_a_block_at_a_time_across_models():
-    # runs of p = 3, 2, 3, 5 and 2, with ranks 1 and 2 mixed inside them;
-    # the third run ends in Z/100003, whose 10^10 pairs are never listed
+def test_a_mixed_family_is_walked_a_block_at_a_time():
+    # p = 3, 2, 3, 5 and 2 interleaved, with ranks 1 and 2 mixed; the sixth
+    # model is Z/100003, whose 10^10 pairs are never listed
     n = 100003
     big = AbelianModel(factors=(n,), sigma=((pow(2, (n - 1) // 3, n),),), cyclic=CyclicData(3))
     family = SweepFamily(
@@ -540,8 +467,7 @@ def test_a_mixed_family_walks_a_block_at_a_time_across_models():
     # (4 labels), 1872 of Z/13 and 324 of (Z/3)^2 (6 labels)
     ends = np.cumsum([252, 324, 128, 1872, 324]).tolist()
     assert ends == [252, 576, 704, 2576, 2900]
-    # the cuts inside Z/2 x Z/4 and inside (Z/3)^2 fall in blocks that also
-    # hold pairs of the model before them
+    # cuts at and inside every model up to Z/100003, and inside it
     limits = [0, 300, 600, 650, 1000, 2600, 2899, 2900, 2900 + 50 * n + 7]
     witnesses = [(None, False), (0, False), (1, True), (2, False), (3, True)]
     tracemalloc.start()
@@ -551,7 +477,7 @@ def test_a_mixed_family_walks_a_block_at_a_time_across_models():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 25  # bytes: the kernels' O(p * n) tables and a block
+    assert peak < 1 << 25  # bytes: a kernel's O(p * n) tables and a block
     for limit, got in zip(limits, reports):
         want = full_walk_report(family, limit)
         assert {key: got[key] for key in want} == want, limit
@@ -562,18 +488,32 @@ def test_a_mixed_family_walks_a_block_at_a_time_across_models():
         assert witness == full_walk_witness(family, target, restricted)
 
 
+def test_set_up_memory_does_not_grow_with_the_family():
+    # 1,368 models at p = 2 of up to 400 elements: a limit of 0 and a first
+    # hit in the first model build that model's tables only
+    family = shipped_catalogue((2,), 400)
+    tracemalloc.start()
+    try:
+        report = sweep(family, SweepBudget(limit=0))
+        witness = find_witness(family, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.triples_examined == 0 and witness["model"] == 0
+    assert peak < 4 << 20  # bytes; the tables of every model take about 50 MB
+
+
 def full_walk_flags(family, limit, flag):
     """Every triple of the prefix with flag(kernel, ells) set, rendered in
     (model, theta1, theta2, chi) index order from the full walk."""
     out, examined = [], 0
     for mi, model in enumerate(family.models):
-        kernel = TripleKernel([model], start=mi)
-        m = len(kernel.noninv)
+        kernel = TripleKernel(model)
+        m = kernel.m
         npairs = min(m**2, (limit - examined) // model.order)
-        for a, b, chi in every_pair(kernel, npairs):
-            ells = pole_orders(chi, model.order)
+        for a, b, _, ells in kernel.dense_blocks(npairs):
             for q, c in zip(*np.nonzero(flag(kernel, ells))):
-                out.append(kernel.triple(a[q], b[q], c, ells[q, c]))
+                out.append(kernel.triple(mi, a[q], b[q], c, ells[q, c]))
         examined += npairs * model.order
         if npairs < m**2:
             break
@@ -600,8 +540,8 @@ def test_flags_on_a_representative_cover_its_orbit(monkeypatch, limit):
     # every invariant chi taken for a moved one at p = 2
     real_init = TripleKernel.__init__
 
-    def flipped(self, models, start=0):
-        real_init(self, models, start)
+    def flipped(self, model):
+        real_init(self, model)
         self.invariant = ~self.invariant
 
     monkeypatch.setattr(TripleKernel, "__init__", flipped)
