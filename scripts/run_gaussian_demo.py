@@ -4,6 +4,13 @@ Uses the inert modulus (7): its ideal characters pull back from the 48-unit
 residue group, the Galois action is coordinate conjugation, and partial sums
 of each character over ideals of bounded norm separate poles from no-poles.
 The demo triple has symbolic pole order 2; the numeric estimate must agree.
+
+With --moduli m1 m2 ..., the script instead estimates every triple of each
+modulus (m, 0): theta1 and theta2 run over the non-invariant ideal
+characters, chi over all ideal characters.  It prints how many triples agree
+with the calculus, disagree, or are indeterminate (some cell's ratio lies
+between the no-pole ceiling and tau), and exits 1 if any triple disagrees or
+is indeterminate.
 """
 
 import argparse
@@ -11,6 +18,7 @@ import math
 import sys
 import time
 
+from triplepole.errors import IndeterminatePoleError
 from triplepole.gauss import (
     GaussianModulus,
     HeckeGaussianModel,
@@ -20,11 +28,50 @@ from triplepole.gauss import (
 from triplepole.gauss_sums import ideal_count, numeric_triple_estimate, probe_pole
 
 
+def check_family(m: int, X: int, tau: float) -> bool:
+    """Estimate every triple of the modulus (m, 0) and print the counts;
+    True when all of them agree with the calculus."""
+    model = HeckeGaussianModel(GaussianModulus((m, 0)))
+    labels = [model.label(psi) for psi in model.characters]
+    noninvariant = [lab for lab in labels if not model.is_invariant(lab)]
+    agree = disagree = indeterminate = 0
+    start = time.monotonic()
+    for theta1 in noninvariant:
+        for theta2 in noninvariant:
+            for chi in labels:
+                try:
+                    est = numeric_triple_estimate(theta1, theta2, chi, X=X, tau=tau)
+                except IndeterminatePoleError:
+                    indeterminate += 1
+                    continue
+                if est.agree:
+                    agree += 1
+                else:
+                    disagree += 1
+    elapsed = time.monotonic() - start
+    total = agree + disagree + indeterminate
+    print(f"modulus ({m}, 0) at X={X}: {total} triples ({len(noninvariant)} non-invariant "
+          f"of {len(labels)} ideal characters), {agree} agree, {disagree} disagree, "
+          f"{indeterminate} indeterminate ({elapsed:.2f}s)")
+    return agree == total
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--X", type=int, default=200000, help="norm bound")
     parser.add_argument("--tau", type=float, default=0.05, help="pole threshold")
+    parser.add_argument("--moduli", type=int, nargs="+", metavar="M",
+                        help="check every triple of each modulus (M, 0) instead of the demo")
     args = parser.parse_args()
+
+    if args.moduli:
+        results = [check_family(m, args.X, args.tau) for m in args.moduli]
+        if not all(results):
+            print("DISAGREEMENT or indeterminate triples between numeric and symbolic "
+                  "pole orders")
+            return 1
+        print("numeric and symbolic pole orders agree on every triple")
+        return 0
 
     modulus = GaussianModulus((7, 0))
     model = HeckeGaussianModel(modulus)

@@ -52,12 +52,10 @@ _EXPORTS = {
     "char_group": ("abelian_basis",),
     "config": ("CONFIG_SCHEMA", "CONFIG_VERSION", "REPORT_VERSION", "load_config"),
     "gauss": (
-        "DirichletChar",
         "GaussianHeckeChar",
         "GaussianModulus",
         "HeckeGaussianModel",
         "conjugate_char",
-        "dirichlet_via_norm",
         "ideal_density",
         "unit_trivial_characters",
     ),
@@ -65,7 +63,6 @@ _EXPORTS = {
         "PoleProbe",
         "TripleEstimate",
         "character_sum",
-        "classify_pole",
         "ideal_count",
         "numeric_triple_estimate",
         "probe_pole",

@@ -203,6 +203,15 @@ class MatchingMatrix:
         return [[(j, k) in self.cells for k in range(self.p)] for j in range(self.p)]
 
 
+def _matching_model(theta1: CuspidalLabelK, theta2: CuspidalLabelK, chi: CuspidalLabelK):
+    """The one model of a triple's labels, once chi is checked to be a
+    character (degree 1)."""
+    model = _model_of(theta1, theta2, chi)
+    if chi.degree != 1:
+        raise PreconditionError("twisting label must have degree 1")
+    return model
+
+
 def matching_matrix(
     theta1: CuspidalLabelK,
     theta2: CuspidalLabelK,
@@ -212,27 +221,27 @@ def matching_matrix(
     against the twisting character chi.
 
     A degree mismatch between the inducing labels yields the all-off matrix.
-    Models that can decide invariance require both inducing labels to be
+    Otherwise the model gives the on-cells in one call; abelian models read
+    them off the triple's cell grid and require both inducing labels to be
     non-invariant (the induced data must be cuspidal).
     """
-    model = _model_of(theta1, theta2, chi)
-    if chi.degree != 1:
-        raise PreconditionError("twisting label must have degree 1")
-    p = model.p
+    model = _matching_model(theta1, theta2, chi)
     if theta1.degree != theta2.degree:
-        return MatchingMatrix(p, frozenset())
-    if model.enforces_noninvariance:
-        if model.is_invariant(theta1) or model.is_invariant(theta2):
-            raise PreconditionError(
-                "inducing labels must be non-invariant for cuspidal induction"
-            )
-    cells = frozenset(
-        (j, k)
-        for j in range(p)
-        for k in range(p)
-        if model.matching_cell(theta1, theta2, chi, j, k)
-    )
-    return MatchingMatrix(p, cells)
+        return MatchingMatrix(model.p, frozenset())
+    return MatchingMatrix(model.p, model.on_cells(theta1, theta2, chi))
+
+
+def matching_grid(
+    theta1: CuspidalLabelK,
+    theta2: CuspidalLabelK,
+    chi: CuspidalLabelK,
+) -> tuple[tuple, MatchingMatrix]:
+    """The `cell_grid` of a triple over an abelian model and its matching
+    matrix, read off that one grid with the checks of `matching_matrix`."""
+    model = _matching_model(theta1, theta2, chi)
+    grid = model.cell_grid(theta1, theta2, chi)
+    cells = frozenset() if theta1.degree != theta2.degree else model.grid_on_cells(grid)
+    return grid, MatchingMatrix(model.p, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ order-2 Galois action.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .char_group import abelian_basis
 from .errors import PreconditionError, UnsupportedModulusError
@@ -297,65 +296,6 @@ def conjugate_char(psi: GaussianHeckeChar) -> GaussianHeckeChar:
     vals = [psi.value_exponent(src.reduce(gconj(g))) for g in basis]
     exps = _solve_exponents(dst, vals)
     return GaussianHeckeChar(dst, exps, check=False)
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet characters through the norm
-
-
-@dataclass(frozen=True)
-class DirichletChar:
-    """A character of (Z/m)^* as an exponent vector over the invariant-factor
-    basis of the unit group, for odd m."""
-
-    m: int
-    exps: tuple
-
-    def __post_init__(self):
-        if self.m < 1 or self.m % 2 == 0:
-            raise UnsupportedModulusError("only odd moduli are supported")
-        _, orders, _ = _rational_unit_structure(self.m)
-        if len(self.exps) != len(orders):
-            raise PreconditionError("exponent arity does not match the unit basis")
-        object.__setattr__(
-            self, "exps", tuple(int(e) % t for e, t in zip(self.exps, orders))
-        )
-
-    def value_exponent(self, n: int) -> int:
-        _, orders, log = _rational_unit_structure(self.m)
-        coords = log.get(n % self.m)
-        if coords is None:
-            raise PreconditionError(f"{n} is not a unit modulo {self.m}")
-        L = orders[0] if orders else 1
-        return sum(e * c * (L // t) for e, c, t in zip(self.exps, coords, orders)) % L
-
-
-@lru_cache(maxsize=None)
-def _rational_unit_structure(m: int):
-    if m == 1:
-        return abelian_basis([0], lambda a, b: 0, 0)
-    elements = [x for x in range(1, m) if math.gcd(x, m) == 1]
-    return abelian_basis(elements, lambda a, b: (a * b) % m, 1)
-
-
-def dirichlet_via_norm(chi: DirichletChar) -> GaussianHeckeChar:
-    """Pull a Dirichlet character back through the norm map: the ideal
-    character psi(z) = chi(N(z) mod m) on the modulus (m).
-
-    The norm is surjective onto (Z/m)^* for odd m, so the rational exponent
-    L_m divides the Gaussian one and the value rescale below is exact.
-    """
-    modulus = GaussianModulus((chi.m, 0))
-    basis, _, _ = modulus.unit_structure
-    _, r_orders, _ = _rational_unit_structure(chi.m)
-    L_m = r_orders[0] if r_orders else 1
-    L = modulus.unit_exponent
-    if L % L_m != 0:
-        raise PreconditionError("norm map does not carry the rational exponent")
-    scale = L // L_m
-    vals = [chi.value_exponent(gnorm(g) % chi.m) * scale for g in basis]
-    exps = _solve_exponents(modulus, vals)
-    return GaussianHeckeChar(modulus, exps, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ A truncated sum of a principal character grows linearly with density
 pi/4 * |units|/norm, while a non-principal one cancels; the ratio |S|/X
 therefore separates poles from non-poles at modest X, with an explicit
 indeterminate verdict in between.
+
+A triple estimate probes the p x p = 4 cells of the triple's matching
+grid.  Their product characters and the symbolic pole order come from one
+cell grid of the Gaussian model (`AbelianModel.cell_grid`), built from one
+conjugation of each inducing character.
 """
 
 from __future__ import annotations
@@ -243,26 +248,6 @@ def probe_pole(
     )
 
 
-def classify_pole(
-    psi: GaussianHeckeChar,
-    X: int,
-    tau: float = DEFAULT_TAU,
-    workers: int | None = None,
-) -> int:
-    """1 if the truncated sum says pole, 0 if it says none; a ratio between
-    the two thresholds raises instead of guessing."""
-    probe = probe_pole(psi, X, tau, workers)
-    if probe.verdict == "pole":
-        return 1
-    if probe.verdict == "no-pole":
-        return 0
-    raise IndeterminatePoleError(
-        f"truncated-sum ratio {probe.ratio:.6f} lies between the no-pole "
-        f"ceiling {NO_POLE_CEILING} and tau {tau}; raise X or adjust tau",
-        ratio=probe.ratio,
-    )
-
-
 # ---------------------------------------------------------------------------
 # full triple estimate
 
@@ -302,19 +287,22 @@ def numeric_triple_estimate(
 
     Cell (j, k) contributes the probe of conj^j(theta2) * conj^k(theta1)
     * chi; the estimate is the number of cells whose product character has a
-    pole.  An indeterminate cell raises, carrying the cell coordinates.
+    pole.  The four product characters and the symbolic count come from one
+    cell grid (`calculus.matching_grid`), which takes two conjugations.  An
+    indeterminate cell raises, carrying the cell coordinates.
     """
-    from .calculus import matching_matrix
+    from .calculus import matching_grid
 
     model = theta1.model
     if not isinstance(model, HeckeGaussianModel):
         raise PreconditionError("numeric estimates need Gaussian character labels")
-    symbolic = matching_matrix(theta1, theta2, chi).ell
+    grid, matrix = matching_grid(theta1, theta2, chi)
+    symbolic = matrix.ell
     ell_hat = 0
     cells = []
     for j in range(2):
         for k in range(2):
-            product = model.character(model.cell(theta1, theta2, chi, j, k))
+            product = model.character(grid[j][k])
             probe = probe_pole(product, X, tau, workers)
             if probe.verdict == "indeterminate":
                 raise IndeterminatePoleError(

@@ -18,11 +18,14 @@ that decides when a Rankin-Selberg pairing has a pole.  Three models ship:
 AbelianModel and GenericRelationModel expose the same duck-typed protocol,
 which HeckeGaussianModel inherits: label construction, ``shift``,
 ``dual``/``twist`` (or UnsupportedOperationError), ``is_isomorphic``,
-``is_invariant``, ``matching_cell``, plus the class flags ``supports_twist``
-and ``enforces_noninvariance`` and the class-level ``kind`` ("abelian",
-"generic" or "gaussian"), which callers dispatch on without importing the
-Gaussian lane.  AbelianModel also exposes ``cell``, the
-group element whose vanishing turns a matching cell on.
+``is_invariant``, ``on_cells`` (a triple's on-cells of the p x p matching
+matrix, all at once) and ``matching_cell`` (one of them), plus the class
+flag ``supports_twist`` and the class-level ``kind`` ("abelian", "generic"
+or "gaussian"), which callers dispatch on without importing the Gaussian
+lane.  AbelianModel also exposes ``cell_grid``, a triple's p x p grid of
+group elements shift^j(theta2) + shift^k(theta1) + chi, whose zeros are the
+on-cells; ``grid_on_cells`` reads them off a grid, and ``cell`` looks one
+element up.
 """
 
 from __future__ import annotations
@@ -155,7 +158,6 @@ class AbelianModel:
 
     kind = "abelian"
     supports_twist = True
-    enforces_noninvariance = True
 
     def __post_init__(self):
         factors = tuple(int(d) for d in self.factors)
@@ -244,12 +246,43 @@ class AbelianModel:
         a = self._payload(lab)
         return self.apply_sigma(a, 1) == a
 
+    def _orbit(self, a) -> list[tuple[int, ...]]:
+        # sigma^0 is the identity, so p - 1 applications give all p shifts
+        return [a] + [self.apply_sigma(a, t) for t in range(1, self.p)]
+
+    def cell_grid(self, theta1, theta2, chi) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """grid[j][k] is the element shift^j(theta2) + shift^k(theta1) + chi
+        of A, for 0 <= j, k < p, from p - 1 sigma applications per inducing
+        label."""
+        orbit1 = self._orbit(self._payload(theta1))
+        orbit2 = self._orbit(self._payload(theta2))
+        ec = self._payload(chi)
+        return tuple(tuple(self.add(self.add(e2, e1), ec) for e1 in orbit1) for e2 in orbit2)
+
+    def grid_on_cells(self, grid) -> frozenset:
+        """The on-cells (j, k) of a `cell_grid`: those whose element vanishes.
+
+        The grid shows invariance as well: grid[0][1] equals grid[0][0]
+        exactly when sigma fixes theta1, and grid[1][0] exactly when it fixes
+        theta2.  Either raises PreconditionError, since the induced data
+        must be cuspidal.
+        """
+        if grid[0][1] == grid[0][0] or grid[1][0] == grid[0][0]:
+            raise PreconditionError(
+                "inducing labels must be non-invariant for cuspidal induction"
+            )
+        zero = self.zero()
+        return frozenset(
+            (j, k) for j, row in enumerate(grid) for k, c in enumerate(row) if c == zero
+        )
+
+    def on_cells(self, theta1, theta2, chi) -> frozenset:
+        """The on-cells of the triple's matching matrix, read off its grid."""
+        return self.grid_on_cells(self.cell_grid(theta1, theta2, chi))
+
     def cell(self, theta1, theta2, chi, j: int, k: int) -> tuple[int, ...]:
         """The element shift^j(theta2) + shift^k(theta1) + chi of A."""
-        e1 = self._payload(theta1)
-        e2 = self._payload(theta2)
-        ec = self._payload(chi)
-        return self.add(self.add(self.apply_sigma(e2, j), self.apply_sigma(e1, k)), ec)
+        return self.cell_grid(theta1, theta2, chi)[j % self.p][k % self.p]
 
     def matching_cell(self, theta1, theta2, chi, j: int, k: int) -> bool:
         """Cell (j, k) is on exactly when its element vanishes in A."""
@@ -313,7 +346,6 @@ class GenericRelationModel:
 
     kind = "generic"
     supports_twist = False
-    enforces_noninvariance = False
 
     def __post_init__(self):
         p = self.cyclic.p
@@ -399,10 +431,22 @@ class GenericRelationModel:
             )
         return s
 
+    def _role_shifts(self, theta1, theta2, chi) -> tuple[int, int, int]:
+        return (
+            self._role_shift(theta1, self.theta1_id, "first"),
+            self._role_shift(theta2, self.theta2_id, "second"),
+            self._role_shift(chi, CHI_ATOM_ID, "twisting"),
+        )
+
+    def on_cells(self, theta1, theta2, chi) -> frozenset:
+        """The declared relations, reindexed by the labels' shifts: cell
+        (j, k) is on exactly when (j + s2 - sc, k + s1 - sc) is a relation."""
+        s1, s2, sc = self._role_shifts(theta1, theta2, chi)
+        p = self.p
+        return frozenset(((j - s2 + sc) % p, (k - s1 + sc) % p) for j, k in self.relations)
+
     def matching_cell(self, theta1, theta2, chi, j: int, k: int) -> bool:
-        s1 = self._role_shift(theta1, self.theta1_id, "first")
-        s2 = self._role_shift(theta2, self.theta2_id, "second")
-        sc = self._role_shift(chi, CHI_ATOM_ID, "twisting")
+        s1, s2, sc = self._role_shifts(theta1, theta2, chi)
         p = self.p
         return ((j + s2 - sc) % p, (k + s1 - sc) % p) in self.relations
 

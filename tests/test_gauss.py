@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from triplepole.calculus import automorphic_induction, matching_matrix, triple_pole_order
 from triplepole.errors import PreconditionError, UnsupportedModulusError
 from triplepole.gauss import (
-    DirichletChar,
     GaussianHeckeChar,
     GaussianModulus,
     HeckeGaussianModel,
     conjugate_char,
-    dirichlet_via_norm,
     gconj,
     gdivmod,
     ggcd,
@@ -269,47 +267,6 @@ def test_conjugate_respects_multiplication():
     for a in chars[:4]:
         for b in chars[:4]:
             assert conjugate_char(a.mul(b)) == conjugate_char(a).mul(conjugate_char(b))
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet characters through the norm
-
-
-def test_dirichlet_via_norm_quadratic_mod3():
-    chi = DirichletChar(3, (1,))
-    psi = dirichlet_via_norm(chi)
-    assert psi.modulus.generator == (3, 0)
-    assert psi.order == 2
-    assert cmath.isclose(psi.value((1, 1)), -1)  # norm 2 is not a square mod 3
-
-
-@pytest.mark.parametrize("m", [3, 5, 7, 9])
-def test_dirichlet_via_norm_pointwise(m):
-    from triplepole.gauss import _rational_unit_structure
-
-    _, orders, _ = _rational_unit_structure(m)
-    chi = DirichletChar(m, tuple([1] + [0] * (len(orders) - 1)))
-    psi = dirichlet_via_norm(chi)
-    mod = psi.modulus
-    L_m = orders[0]
-    L = mod.unit_exponent
-    for u in mod.units:
-        expected = chi.value_exponent(gnorm(u) % m)
-        got = psi.value_exponent(u)
-        # zeta_L^got == zeta_{L_m}^expected, compared exactly as fractions
-        assert got * L_m == expected * L
-
-
-def test_dirichlet_rejects_even_modulus():
-    with pytest.raises(UnsupportedModulusError):
-        DirichletChar(6, (0,))
-
-
-def test_dirichlet_trivial_modulus():
-    chi = DirichletChar(1, ())
-    psi = dirichlet_via_norm(chi)
-    assert psi.order == 1
-    assert psi.modulus.norm == 1
 
 
 # ---------------------------------------------------------------------------

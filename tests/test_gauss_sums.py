@@ -33,7 +33,6 @@ from triplepole.gauss_sums import (
     NO_POLE_CEILING,
     band_counts_bytes,
     character_sum,
-    classify_pole,
     ideal_count,
     numeric_triple_estimate,
     probe_pole,
@@ -289,21 +288,6 @@ def test_probe_tau_validated():
         probe_pole(psi, 1000, tau=0.0)
     with pytest.raises(PreconditionError):
         probe_pole(psi, 1000, tau=1.0)
-
-
-def test_classify_pole_verdicts():
-    chars = unit_trivial_characters(GaussianModulus((7, 0)))
-    assert classify_pole(chars[0], 50000) == 1
-    assert classify_pole(chars[4], 50000) == 0
-
-
-def test_classify_pole_indeterminate():
-    # a tau above the density makes the principal character undecidable
-    triv = unit_trivial_characters(GaussianModulus((7, 0)))[0]
-    with pytest.raises(IndeterminatePoleError) as exc:
-        classify_pole(triv, 2000, tau=0.9)
-    assert exc.value.pair is None
-    assert NO_POLE_CEILING < exc.value.ratio <= 0.9
 
 
 def test_anchor_against_quarter_pi():

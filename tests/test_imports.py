@@ -106,11 +106,11 @@ EXPORTS = {
     "char_group": ["abelian_basis"],
     "config": ["CONFIG_SCHEMA", "CONFIG_VERSION", "REPORT_VERSION", "load_config"],
     "gauss": [
-        "DirichletChar", "GaussianHeckeChar", "GaussianModulus", "HeckeGaussianModel",
-        "conjugate_char", "dirichlet_via_norm", "ideal_density", "unit_trivial_characters",
+        "GaussianHeckeChar", "GaussianModulus", "HeckeGaussianModel", "conjugate_char",
+        "ideal_density", "unit_trivial_characters",
     ],
     "gauss_sums": [
-        "PoleProbe", "TripleEstimate", "character_sum", "classify_pole", "ideal_count",
+        "PoleProbe", "TripleEstimate", "character_sum", "ideal_count",
         "numeric_triple_estimate", "probe_pole",
     ],
     "group_oracle": [
