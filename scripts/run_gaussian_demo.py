@@ -10,7 +10,9 @@ modulus (m, 0): theta1 and theta2 run over the non-invariant ideal
 characters, chi over all ideal characters.  It prints how many triples agree
 with the calculus, disagree, or are indeterminate (some cell's ratio lies
 between the no-pole ceiling and tau), and exits 1 if any triple disagrees or
-is indeterminate.
+is indeterminate, or if a modulus has no triple to check (no non-invariant
+ideal character, as for 3 and 5).  A modulus the numeric lane does not
+support (even, or 1) exits 2 before any family is checked.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import math
 import sys
 import time
 
-from triplepole.errors import IndeterminatePoleError
+from triplepole.errors import IndeterminatePoleError, UnsupportedModulusError
 from triplepole.gauss import (
     GaussianModulus,
     HeckeGaussianModel,
@@ -28,10 +30,9 @@ from triplepole.gauss import (
 from triplepole.gauss_sums import ideal_count, numeric_triple_estimate, probe_pole
 
 
-def check_family(m: int, X: int, tau: float) -> bool:
-    """Estimate every triple of the modulus (m, 0) and print the counts;
-    True when all of them agree with the calculus."""
-    model = HeckeGaussianModel(GaussianModulus((m, 0)))
+def check_family(model: HeckeGaussianModel, X: int, tau: float) -> bool:
+    """Estimate every triple of the model's modulus and print the counts;
+    True when there is at least one and all of them agree with the calculus."""
     labels = [model.label(psi) for psi in model.characters]
     noninvariant = [lab for lab in labels if not model.is_invariant(lab)]
     agree = disagree = indeterminate = 0
@@ -50,10 +51,14 @@ def check_family(m: int, X: int, tau: float) -> bool:
                     disagree += 1
     elapsed = time.monotonic() - start
     total = agree + disagree + indeterminate
-    print(f"modulus ({m}, 0) at X={X}: {total} triples ({len(noninvariant)} non-invariant "
-          f"of {len(labels)} ideal characters), {agree} agree, {disagree} disagree, "
-          f"{indeterminate} indeterminate ({elapsed:.2f}s)")
-    return agree == total
+    print(f"modulus {model.modulus.generator} at X={X}: {total} triples "
+          f"({len(noninvariant)} non-invariant of {len(labels)} ideal characters), "
+          f"{agree} agree, {disagree} disagree, {indeterminate} indeterminate "
+          f"({elapsed:.2f}s)")
+    if total == 0:
+        print(f"modulus {model.modulus.generator} has no non-invariant ideal character, "
+              f"so no triple to check")
+    return total > 0 and agree == total
 
 
 def main() -> int:
@@ -65,10 +70,17 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.moduli:
-        results = [check_family(m, args.X, args.tau) for m in args.moduli]
+        models = []
+        for m in args.moduli:
+            try:
+                models.append(HeckeGaussianModel(GaussianModulus((m, 0))))
+            except UnsupportedModulusError as exc:
+                print(f"modulus ({m}, 0) is not supported: {exc}", file=sys.stderr)
+                return 2
+        results = [check_family(model, args.X, args.tau) for model in models]
         if not all(results):
-            print("DISAGREEMENT or indeterminate triples between numeric and symbolic "
-                  "pole orders")
+            print("numeric and symbolic pole orders NOT confirmed: some family "
+                  "disagrees, is indeterminate or has no triple")
             return 1
         print("numeric and symbolic pole orders agree on every triple")
         return 0

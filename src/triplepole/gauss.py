@@ -1,11 +1,13 @@
 """Hecke characters of the Gaussian field and their pole calculus model.
 
-Gaussian integers are plain tuples (a, b) meaning a + bi.  A nonzero ideal
-has exactly one generator with a >= 1 and b >= 0, which is the normal form
-used throughout.  Finite-order ideal characters modulo m are the characters
-of the unit group of Z[i]/(m) that are trivial on the image of i; they form
-the numeric side of the cross-verification, with complex conjugation as the
-order-2 Galois action.
+Gaussian integers are plain tuples (a, b) meaning a + bi.  The moduli are
+the ideals (m) of Z[i] for odd rational m >= 1: complex conjugation, the
+order-2 Galois action of the numeric lane, acts on the characters modulo an
+ideal only when it fixes the ideal, and an ideal of odd norm is fixed
+exactly when a rational integer generates it.  The residue ring Z[i]/(m) is
+then (Z/m)^2.  Finite-order ideal characters modulo m are the characters of
+its unit group that are trivial on the image of i; they form the numeric
+side of the cross-verification.
 """
 
 from __future__ import annotations
@@ -19,94 +21,35 @@ from .models import AbelianModel, CuspidalLabelK, CyclicData
 
 
 # ---------------------------------------------------------------------------
-# Gaussian integer arithmetic on (a, b) tuples
-
-
-def gmul(z, w):
-    return (z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0])
-
-
-def gconj(z):
-    return (z[0], -z[1])
-
-
-def gnorm(z) -> int:
-    return z[0] * z[0] + z[1] * z[1]
-
-
-def _round_half_up(num: int, den: int) -> int:
-    # nearest integer to num/den, ties toward +infinity; den > 0
-    return (2 * num + den) // (2 * den)
-
-
-def gdivmod(z, w):
-    """Nearest-integer quotient and remainder; the remainder has norm at
-    most half the divisor's, which is what makes the Euclidean walk finite."""
-    n = gnorm(w)
-    if n == 0:
-        raise ZeroDivisionError("division by the zero Gaussian integer")
-    num = gmul(z, gconj(w))
-    q = (_round_half_up(num[0], n), _round_half_up(num[1], n))
-    r = (z[0] - (q[0] * w[0] - q[1] * w[1]), z[1] - (q[0] * w[1] + q[1] * w[0]))
-    return q, r
-
-
-def gmod(z, w):
-    return gdivmod(z, w)[1]
-
-
-def ggcd(z, w):
-    while gnorm(w):
-        z, w = w, gmod(z, w)
-    return z
-
-
-def gnormalize(z):
-    """The unique associate with a >= 1 and b >= 0 (zero stays zero)."""
-    if z == (0, 0):
-        return z
-    for _ in range(4):
-        if z[0] >= 1 and z[1] >= 0:
-            return z
-        z = (-z[1], z[0])  # multiply by i
-    raise AssertionError("unreachable: some associate is in the closed quadrant")
-
-
-def is_coprime(z, w) -> bool:
-    return gnorm(ggcd(z, w)) == 1
-
-
-# ---------------------------------------------------------------------------
 # residue systems
 
 
 class GaussianModulus:
-    """The quotient ring Z[i]/(m) with a canonical residue box.
+    """The quotient ring Z[i]/(m) for an odd rational m >= 1, as (Z/m)^2.
 
-    The ideal lattice has a triangular basis u = (N/g, 0), v = (w, g) with
-    g = gcd(a, b), so representatives are the pairs (x, y) with
-    0 <= x < N/g and 0 <= y < g.  Even-norm moduli are rejected (the
-    ramified prime divides them), except the unit ideal itself.
+    The generator may be any associate of m, (m, 0), (0, m) or their
+    negatives, and is normalised to (m, 0).  Zero, even norms and every
+    other generator raise UnsupportedModulusError.  x + yi reduces to the
+    residue (x mod m, y mod m), and a residue is a unit exactly when its
+    norm x^2 + y^2 is prime to m: for odd m a rational prime q divides the
+    norm of z exactly when a prime ideal above q divides z.
     """
 
     def __init__(self, generator):
-        gen = gnormalize((int(generator[0]), int(generator[1])))
-        if gen == (0, 0):
+        a, b = int(generator[0]), int(generator[1])
+        if (a, b) == (0, 0):
             raise UnsupportedModulusError("modulus must be a nonzero ideal")
-        n = gnorm(gen)
-        if n % 2 == 0:
+        if (a * a + b * b) % 2 == 0:
             raise UnsupportedModulusError(
                 "even-norm moduli are not supported; the ramified prime is excluded"
             )
-        self.generator = gen
-        self.norm = n
-        a, b = gen
-        g = math.gcd(a, b)
-        self.g = g
-        self.x_span = n // g
-        # v = alpha*m + beta*i*m with y-component g; then x-component is w
-        alpha, beta = _bezout(b, a)
-        self.v = (alpha * a - beta * b, g)
+        if a and b:
+            raise UnsupportedModulusError(
+                "the Galois action needs a conjugation-stable modulus"
+            )
+        self.m = abs(a or b)
+        self.generator = (self.m, 0)
+        self.norm = self.m * self.m
 
     def __repr__(self):
         return f"GaussianModulus({self.generator})"
@@ -117,28 +60,20 @@ class GaussianModulus:
     def __hash__(self):
         return hash(("GaussianModulus", self.generator))
 
-    @property
-    def is_conjugation_stable(self) -> bool:
-        return gnormalize(gconj(self.generator)) == self.generator
-
     def reduce(self, z):
         """Canonical representative of z modulo the ideal."""
-        x, y = int(z[0]), int(z[1])
-        c = y // self.g
-        x -= c * self.v[0]
-        y -= c * self.g
-        return (x % self.x_span, y)
+        return (int(z[0]) % self.m, int(z[1]) % self.m)
 
     def residues(self):
-        return [(x, y) for y in range(self.g) for x in range(self.x_span)]
+        return [(x, y) for y in range(self.m) for x in range(self.m)]
 
     @cached_property
     def units(self) -> list:
-        gen = self.generator
-        return [r for r in self.residues() if is_coprime(r, gen)]
+        m = self.m
+        return [(x, y) for x, y in self.residues() if math.gcd(x * x + y * y, m) == 1]
 
     def unit_mul(self, a, b):
-        return self.reduce(gmul(a, b))
+        return self.reduce((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
 
     @cached_property
     def unit_structure(self):
@@ -166,19 +101,6 @@ class GaussianModulus:
     @cached_property
     def i_image(self):
         return self.reduce((0, 1))
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    # alpha*x + beta*y == gcd(x, y)
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +207,13 @@ def _solve_exponents(modulus: GaussianModulus, value_exp_of_basis) -> tuple[int,
 
 
 def conjugate_char(psi: GaussianHeckeChar) -> GaussianHeckeChar:
-    """The character z -> psi(conj z), living on the conjugate modulus.
-
-    For a conjugation-stable modulus this is the Galois action on ideal
-    characters; it is always an involution.
-    """
-    src = psi.modulus
-    dst = src if src.is_conjugation_stable else GaussianModulus(gconj(src.generator))
-    basis, _, _ = dst.unit_structure
-    vals = [psi.value_exponent(src.reduce(gconj(g))) for g in basis]
-    exps = _solve_exponents(dst, vals)
-    return GaussianHeckeChar(dst, exps, check=False)
+    """The character z -> psi(conj z) on the same modulus: the Galois action
+    on ideal characters, an involution."""
+    modulus = psi.modulus
+    basis, _, _ = modulus.unit_structure
+    vals = [psi.value_exponent(modulus.reduce((x, -y))) for x, y in basis]
+    exps = _solve_exponents(modulus, vals)
+    return GaussianHeckeChar(modulus, exps, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +231,9 @@ def ideal_density(modulus: GaussianModulus) -> float:
 
 
 class HeckeGaussianModel(AbelianModel):
-    """The characters of the units modulo a conjugation-stable ideal, as an
-    abelian model with complex conjugation as the degree-2 Galois action.
+    """The characters of the units modulo (m), as an abelian model with
+    complex conjugation as the degree-2 Galois action.  Every modulus is
+    conjugation-stable, since `GaussianModulus` admits only rational ones.
 
     An element is an exponent vector over the invariant-factor basis of the
     unit group, so a label's payload is `psi.exps` and the label protocol is
@@ -329,10 +248,6 @@ class HeckeGaussianModel(AbelianModel):
     __hash__ = object.__hash__
 
     def __init__(self, modulus: GaussianModulus):
-        if not modulus.is_conjugation_stable:
-            raise UnsupportedModulusError(
-                "the Galois action needs a conjugation-stable modulus"
-            )
         orders = modulus.unit_structure[1]
         if not orders:
             raise UnsupportedModulusError(

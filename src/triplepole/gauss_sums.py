@@ -43,7 +43,7 @@ _COUNTS_CACHE_LIMIT = 8
 # Ceiling on the peak of one band count (docs/formats.md, "Exit codes").
 BAND_COUNTS_MAX_BYTES = 1 << 30
 # Temporaries of one band boundary that `band_counts_bytes` prices, in
-# int64 vectors of length rows and in arrays of x_span x P entries.
+# int64 vectors of length rows and in arrays of m x m entries.
 _ROW_TEMPORARIES = 6
 _SPAN_TEMPORARIES = 3
 
@@ -58,18 +58,18 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _count_layout(modulus: GaussianModulus, X: int) -> tuple[int, int]:
-    """(P, rows) of a band count: the residue period of imaginary parts and
-    the real parts a = 0 .. rows - 1 it folds, in whole classes mod x_span."""
-    span = modulus.x_span
-    period = modulus.g * span // math.gcd(modulus.v[0], span)
-    return period, (isqrt(X) // span + 1) * span
+    """(m, rows) of a band count: the residue period m of real and imaginary
+    parts, and the real parts a = 0 .. rows - 1 it folds, in whole classes
+    mod m."""
+    m = modulus.m
+    return m, (isqrt(X) // m + 1) * m
 
 
 def _band_arrays_bytes(modulus: GaussianModulus, X: int) -> int:
     """Bytes of the two zero-filled int64 arrays that counting (modulus, X)
-    keeps: `below` (rows x P) and `cumulative` ((BANDS + 1) x units)."""
-    period, rows = _count_layout(modulus, X)
-    return 8 * (rows * period + (BANDS + 1) * len(modulus.units))
+    keeps: `below` (rows x m) and `cumulative` ((BANDS + 1) x units)."""
+    m, rows = _count_layout(modulus, X)
+    return 8 * (rows * m + (BANDS + 1) * len(modulus.units))
 
 
 def band_counts_bytes(modulus: GaussianModulus, X: int) -> int:
@@ -78,36 +78,25 @@ def band_counts_bytes(modulus: GaussianModulus, X: int) -> int:
     Those are at most _ROW_TEMPORARIES int64 vectors of length rows (the
     previous b_max, the radicand, and `_isqrt`'s root, successor, square and
     bool mask, the mask rounded up to a vector) and _SPAN_TEMPORARIES arrays
-    of at most x_span x P entries (the unit classes, the boundary's folded
-    counts and their gather by unit; units * P / g <= x_span * P)."""
-    period, rows = _count_layout(modulus, X)
-    temporaries = _ROW_TEMPORARIES * rows + _SPAN_TEMPORARIES * modulus.x_span * period
+    of at most m x m entries (the unit classes and the boundary's folded
+    counts, with room for one more; units <= m x m)."""
+    m, rows = _count_layout(modulus, X)
+    temporaries = _ROW_TEMPORARIES * rows + _SPAN_TEMPORARIES * m * m
     return _band_arrays_bytes(modulus, X) + 8 * temporaries
-
-
-def _unit_classes(modulus: GaussianModulus, period: int) -> np.ndarray:
-    """Flat indices a * P + r, into counts folded to (x_span, P), of the
-    P / g classes (x + j*v0 mod x_span, y + j*g) that unit (x, y) collects:
-    one row per unit, in `modulus.units` order."""
-    units = np.array(modulus.units, dtype=np.int64)
-    j = np.arange(period // modulus.g, dtype=np.int64)
-    a_class = (units[:, :1] + j * modulus.v[0]) % modulus.x_span
-    return a_class * period + units[:, 1:] + j * modulus.g
 
 
 def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
     """Counts[band, unit] over all ideals of norm <= X.
 
     The count is closed-form rather than a walk over the lattice.  The
-    residue of a generator a + bi depends only on (a mod x_span, b mod P)
-    with P = g * x_span / gcd(v0, x_span), and for each real part a the
-    imaginary parts b <= isqrt(T - a^2) with b = r (mod P) number
-    (isqrt(T - a^2) - r + P) // P.  At every band boundary T = ceil(kX /
+    residue of a generator a + bi is (a mod m, b mod m), and for each real
+    part a the imaginary parts b <= isqrt(T - a^2) with b = r (mod m) number
+    (isqrt(T - a^2) - r + m) // m.  At every band boundary T = ceil(kX /
     BANDS) those counts are written in place, folded by the class of a mod
-    x_span and gathered per unit; differencing the per-unit totals over k
-    gives exact integer counts per (band, unit) in O(sqrt(X) * BANDS * P).
-    Raises PreconditionError, before any array is built, when
-    `band_counts_bytes` exceeds BAND_COUNTS_MAX_BYTES.
+    m and gathered per unit (x, y) at flat index x * m + y; differencing the
+    per-unit totals over k gives exact integer counts per (band, unit) in
+    O(sqrt(X) * BANDS * m).  Raises PreconditionError, before any array is
+    built, when `band_counts_bytes` exceeds BAND_COUNTS_MAX_BYTES.
     """
     need = band_counts_bytes(modulus, X)
     if need > BAND_COUNTS_MAX_BYTES:
@@ -115,12 +104,11 @@ def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
             f"counting ideals of norm <= {X} for modulus {modulus.generator} needs "
             f"about {need} bytes, over the ceiling of {BAND_COUNTS_MAX_BYTES} bytes"
         )
-    span = modulus.x_span
-    period, rows = _count_layout(modulus, X)
-    classes = _unit_classes(modulus, period)
+    m, rows = _count_layout(modulus, X)
+    classes = np.array([x * m + y for x, y in modulus.units], dtype=np.int64)
     # b-counts per (a, r) up to the current boundary; a boundary only grows,
     # so rows past its isqrt stay zero, and row a = 0 is never written
-    below = np.zeros((rows, period), dtype=np.int64)
+    below = np.zeros((rows, m), dtype=np.int64)
     cumulative = np.zeros((BANDS + 1, len(classes)), dtype=np.int64)
     for k in range(1, BANDS + 1):
         bound = -(-k * X // BANDS)
@@ -128,11 +116,11 @@ def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
         b_max = _isqrt(bound - np.arange(1, top, dtype=np.int64) ** 2)
         # in place, one residue at a time: numpy buffers a broadcast ufunc
         rows_k = below[1:top]
-        for r in range(period):
-            np.subtract(b_max, r - period, out=rows_k[:, r])
-        np.floor_divide(rows_k, period, out=rows_k)
-        folded = below.reshape(-1, span, period).sum(axis=0)
-        folded.ravel()[classes].sum(axis=1, out=cumulative[k])
+        for r in range(m):
+            np.subtract(b_max, r - m, out=rows_k[:, r])
+        np.floor_divide(rows_k, m, out=rows_k)
+        folded = below.reshape(-1, m, m).sum(axis=0)
+        np.take(folded, classes, out=cumulative[k])
     # difference in place, highest boundary first
     for k in range(BANDS, 0, -1):
         cumulative[k] -= cumulative[k - 1]

@@ -12,20 +12,21 @@ that decides when a Rankin-Selberg pairing has a pole.  Three models ship:
   relations; used to express situations (higher-degree constituents,
   unknown character groups) where only the relation pattern is known.
 * HeckeGaussianModel (in triplepole.gauss): an AbelianModel whose group is
-  the character group of the units modulo a conjugation-stable Gaussian
-  ideal, with conjugation as sigma; labels are its ideal characters.
+  the character group of the units modulo an odd rational Gaussian modulus
+  (m), with conjugation as sigma; labels are its ideal characters.
 
 AbelianModel and GenericRelationModel expose the same duck-typed protocol,
 which HeckeGaussianModel inherits: label construction, ``shift``,
 ``dual``/``twist`` (or UnsupportedOperationError), ``is_isomorphic``,
-``is_invariant``, ``on_cells`` (a triple's on-cells of the p x p matching
-matrix, all at once) and ``matching_cell`` (one of them), plus the class
-flag ``supports_twist`` and the class-level ``kind`` ("abelian", "generic"
-or "gaussian"), which callers dispatch on without importing the Gaussian
-lane.  AbelianModel also exposes ``cell_grid``, a triple's p x p grid of
-group elements shift^j(theta2) + shift^k(theta1) + chi, whose zeros are the
-on-cells; ``grid_on_cells`` reads them off a grid, and ``cell`` looks one
-element up.
+``is_invariant`` and ``on_cells`` (a triple's on-cells of the p x p matching
+matrix, all at once), plus the class flag ``supports_twist`` and the
+class-level ``kind`` ("abelian", "generic" or "gaussian"), which callers
+dispatch on without importing the Gaussian lane.  AbelianModel also exposes
+``cell_grid``, a triple's p x p grid of group elements shift^j(theta2) +
+shift^k(theta1) + chi, whose zeros are the on-cells, and ``grid_on_cells``,
+which reads them off a grid.  GenericRelationModel, which supports no
+twist, also exposes ``matching_cell``, one cell of its relations table, for
+the calculus's pairing of base-changed constituents.
 """
 
 from __future__ import annotations
@@ -279,14 +280,6 @@ class AbelianModel:
     def on_cells(self, theta1, theta2, chi) -> frozenset:
         """The on-cells of the triple's matching matrix, read off its grid."""
         return self.grid_on_cells(self.cell_grid(theta1, theta2, chi))
-
-    def cell(self, theta1, theta2, chi, j: int, k: int) -> tuple[int, ...]:
-        """The element shift^j(theta2) + shift^k(theta1) + chi of A."""
-        return self.cell_grid(theta1, theta2, chi)[j % self.p][k % self.p]
-
-    def matching_cell(self, theta1, theta2, chi, j: int, k: int) -> bool:
-        """Cell (j, k) is on exactly when its element vanishes in A."""
-        return self.cell(theta1, theta2, chi, j, k) == self.zero()
 
     def describe(self) -> dict:
         return {

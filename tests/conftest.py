@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from triplepole import AbelianModel, CyclicData
@@ -31,3 +33,15 @@ def small_models():
 
 def p2_models():
     return [m for m in small_models() if m.p == 2]
+
+
+@functools.cache
+def invertible_residues(m):
+    """The residues (x, y) of x + yi modulo m that have an inverse, found by
+    a literal search for (u, v) with (x + yi)(u + vi) = 1 (mod m): a
+    reference for the units that owes nothing to the norm rule."""
+    box = [(x, y) for y in range(m) for x in range(m)]
+    return frozenset(
+        (x, y) for x, y in box
+        if any((x * u - y * v - 1) % m == 0 and (x * v + y * u) % m == 0 for u, v in box)
+    )

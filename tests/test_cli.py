@@ -33,12 +33,12 @@ def write_config(tmp_path, payload) -> str:
     return str(path)
 
 
-def gaussian_config(tmp_path, theta1=1, theta2=1, chi=10, X=50000, tau=0.05):
+def gaussian_config(tmp_path, theta1=1, theta2=1, chi=10, X=50000, tau=0.05, modulus=(7, 0)):
     return write_config(
         tmp_path,
         {
             "version": 1,
-            "model": {"kind": "gaussian", "modulus": [7, 0]},
+            "model": {"kind": "gaussian", "modulus": list(modulus)},
             "labels": {"theta1": theta1, "theta2": theta2, "chi": chi},
             "estimate": {"X": X, "tau": tau},
         },
@@ -544,6 +544,29 @@ def test_hecke_estimate_disagreement_exit_code(monkeypatch, tmp_path, capsys):
     code, report = run_json(capsys, "hecke-estimate", "--config", config)
     assert code == 4
     assert report["result"]["agree"] is False
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_hecke_estimate_non_rational_modulus_exits_3(tmp_path, capsys, fmt):
+    config = gaussian_config(tmp_path, modulus=(2, 1))
+    code, out = run_cli(capsys, "hecke-estimate", "--config", config, "--format", fmt)
+    assert code == 3
+    if fmt == "json":
+        assert json.loads(out)["error"]["type"] == "UnsupportedModulusError"
+    else:
+        assert "error UnsupportedModulusError: " in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("modulus", [(0, 7), (-7, 0)], ids=str)
+def test_hecke_estimate_associate_moduli_report_alike(tmp_path, capsys, monkeypatch, modulus, fmt):
+    monkeypatch.setattr("time.monotonic", lambda: 0.0)  # elapsed_seconds 0
+    reports = []
+    for gen in [(7, 0), modulus]:
+        config = gaussian_config(tmp_path, modulus=gen)
+        reports.append(run_cli(capsys, "hecke-estimate", "--config", config, "--format", fmt))
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
 
 
 def test_hecke_estimate_needs_gaussian_model(capsys):

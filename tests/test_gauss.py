@@ -1,5 +1,5 @@
-"""Gaussian integer arithmetic, residue systems, ideal characters, and the
-conjugation calculus model."""
+"""Residue rings Z[i]/(m), ideal characters, and the conjugation calculus
+model."""
 
 import cmath
 import itertools
@@ -17,78 +17,21 @@ from triplepole.gauss import (
     GaussianModulus,
     HeckeGaussianModel,
     conjugate_char,
-    gconj,
-    gdivmod,
-    ggcd,
-    gmod,
-    gmul,
-    gnorm,
-    gnormalize,
     ideal_density,
-    is_coprime,
     unit_trivial_characters,
 )
 from triplepole.models import AbelianModel
 
+from conftest import invertible_residues
+
 gaussian = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
-nonzero = gaussian.filter(lambda z: z != (0, 0))
-
-
-# ---------------------------------------------------------------------------
-# arithmetic
-
-
-def test_gmul_and_conj():
-    assert gmul((2, 1), (1, 3)) == (-1, 7)
-    assert gmul((0, 1), (0, 1)) == (-1, 0)
-    assert gconj((3, -4)) == (3, 4)
-    assert gnorm((3, 4)) == 25
-
-
-@settings(max_examples=80, deadline=None)
-@given(z=gaussian, w=nonzero)
-def test_gdivmod_remainder_is_small(z, w):
-    q, r = gdivmod(z, w)
-    assert tuple(a + b for a, b in zip(gmul(q, w), r)) == z
-    assert 2 * gnorm(r) <= gnorm(w)
-    assert gmod(z, w) == r
-
-
-@settings(max_examples=60, deadline=None)
-@given(z=nonzero, w=nonzero)
-def test_ggcd_divides_both(z, w):
-    d = ggcd(z, w)
-    assert gmod(z, d) == (0, 0)
-    assert gmod(w, d) == (0, 0)
-
-
-def test_gnormalize_picks_the_quadrant_associate():
-    assert gnormalize((0, 1)) == (1, 0)
-    assert gnormalize((-3, 4)) == (4, 3)
-    assert gnormalize((0, -7)) == (7, 0)
-    assert gnormalize((0, 0)) == (0, 0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(z=nonzero)
-def test_gnormalize_identifies_associates(z):
-    i_z = (-z[1], z[0])
-    forms = {gnormalize(z), gnormalize(i_z), gnormalize(gmul(i_z, (0, 1)))}
-    assert len(forms) == 1
-    a, b = forms.pop()
-    assert a >= 1 and b >= 0
-
-
-def test_is_coprime():
-    assert is_coprime((2, 1), (2, -1))
-    assert not is_coprime((5, 0), (2, 1))  # 2+i divides 5
 
 
 # ---------------------------------------------------------------------------
 # residue systems
 
 
-MODULI = [(1, 0), (3, 0), (7, 0), (2, 1), (3, 2), (5, 0), (9, 0)]
+MODULI = [(1, 0), (3, 0), (7, 0), (11, 0), (13, 0), (5, 0), (9, 0)]
 
 
 @pytest.mark.parametrize("gen", MODULI)
@@ -105,10 +48,10 @@ def test_residue_box_is_complete(gen):
 @settings(max_examples=30, deadline=None)
 @given(z=gaussian)
 def test_reduce_is_congruent(gen, z):
+    # z - r lies in the ideal (m) = m Z[i]: both parts are multiples of m
     m = GaussianModulus(gen)
     r = m.reduce(z)
-    diff = (z[0] - r[0], z[1] - r[1])
-    assert gmod(diff, m.generator) == (0, 0)
+    assert (z[0] - r[0]) % gen[0] == 0 and (z[1] - r[1]) % gen[0] == 0
 
 
 def test_even_norm_rejected():
@@ -118,20 +61,37 @@ def test_even_norm_rejected():
         GaussianModulus((4, 2))
     with pytest.raises(UnsupportedModulusError):
         GaussianModulus((0, 0))
+    with pytest.raises(UnsupportedModulusError, match="even-norm"):
+        GaussianModulus((0, 6))
+
+
+@pytest.mark.parametrize("gen", [(2, 1), (3, 2), (6, 3), (1, 1), (4, 2), (0, 0)], ids=str)
+def test_modulus_rejects_all_but_odd_rational_generators(gen):
+    with pytest.raises(UnsupportedModulusError):
+        GaussianModulus(gen)
 
 
 def test_modulus_normalizes_generator():
-    assert GaussianModulus((0, 7)).generator == (7, 0)
+    for gen in [(0, 7), (-7, 0), (0, -7), (7, 0)]:
+        assert GaussianModulus(gen).generator == (7, 0)
+        assert GaussianModulus(gen) == GaussianModulus((7, 0))
     assert GaussianModulus((-3, 0)).generator == (3, 0)
-    assert GaussianModulus((3, 2)) != GaussianModulus((2, 3))
 
 
 @pytest.mark.parametrize(
     "gen,count",
-    [((1, 0), 1), ((3, 0), 8), ((7, 0), 48), ((2, 1), 4), ((3, 2), 12), ((5, 0), 16), ((9, 0), 72)],
+    [((1, 0), 1), ((3, 0), 8), ((7, 0), 48), ((11, 0), 120), ((13, 0), 144), ((5, 0), 16), ((9, 0), 72)],
 )
 def test_unit_counts(gen, count):
     assert len(GaussianModulus(gen).units) == count
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 9, 13, 15, 21])
+def test_units_are_the_invertible_residues(m):
+    # the norm rule against a literal search for inverses, in residue order
+    modulus = GaussianModulus((m, 0))
+    units = invertible_residues(m)
+    assert modulus.units == [r for r in modulus.residues() if r in units]
 
 
 def test_unit_structure_shapes():
@@ -141,7 +101,7 @@ def test_unit_structure_shapes():
     assert GaussianModulus((1, 0)).unit_structure[1] == []
 
 
-@pytest.mark.parametrize("gen", [(1, 0), (5, 0), (7, 0), (15, 0), (2, 1), (3, 2)])
+@pytest.mark.parametrize("gen", [(1, 0), (5, 0), (7, 0), (15, 0), (9, 0), (3, 0)])
 def test_unit_log_matrix_matches_value_exponent(gen):
     # every character of the unit group, not only the ideal characters
     modulus = GaussianModulus(gen)
@@ -156,10 +116,15 @@ def test_unit_log_matrix_matches_value_exponent(gen):
 
 
 def test_conjugation_stability():
-    assert GaussianModulus((7, 0)).is_conjugation_stable
-    assert GaussianModulus((1, 0)).is_conjugation_stable
-    assert not GaussianModulus((2, 1)).is_conjugation_stable
-    assert not GaussianModulus((3, 2)).is_conjugation_stable
+    # every modulus is conjugation-stable, so conjugation stays on it; the
+    # generators of unstable ideals are refused
+    for gen in [(1, 0), (7, 0), (15, 0)]:
+        modulus = GaussianModulus(gen)
+        for psi in unit_trivial_characters(modulus):
+            assert conjugate_char(psi).modulus is modulus
+    for gen in [(2, 1), (3, 2)]:
+        with pytest.raises(UnsupportedModulusError):
+            GaussianModulus(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +135,6 @@ def test_unit_trivial_character_counts():
     # |units| / ord(i mod m) characters survive the i-triviality condition
     assert len(unit_trivial_characters(GaussianModulus((7, 0)))) == 12
     assert len(unit_trivial_characters(GaussianModulus((3, 0)))) == 2
-    assert len(unit_trivial_characters(GaussianModulus((2, 1)))) == 1
     assert len(unit_trivial_characters(GaussianModulus((5, 0)))) == 4
     assert len(unit_trivial_characters(GaussianModulus((1, 0)))) == 1
 
@@ -245,20 +209,12 @@ def test_conjugate_char_involution_stable_modulus():
         assert conjugate_char(conjugate_char(psi)) == psi
 
 
-def test_conjugate_char_crosses_moduli():
-    m = GaussianModulus((3, 2))
-    psi = unit_trivial_characters(m)[0]
-    moved = conjugate_char(psi)
-    assert moved.modulus.generator == (2, 3)
-    assert conjugate_char(moved) == psi
-
-
 def test_conjugate_char_pointwise():
     m = GaussianModulus((7, 0))
     psi = unit_trivial_characters(m)[5]
     bar = conjugate_char(psi)
     for u in m.units[::7]:
-        assert bar.value_exponent(m.reduce(gconj(u))) == psi.value_exponent(u)
+        assert bar.value_exponent(m.reduce((u[0], -u[1]))) == psi.value_exponent(u)
 
 
 def test_conjugate_respects_multiplication():
@@ -278,7 +234,7 @@ def test_ideal_density_values():
         ideal_density(GaussianModulus((7, 0))), (math.pi / 4) * 48 / 49
     )
     assert math.isclose(ideal_density(GaussianModulus((1, 0))), math.pi / 4)
-    assert math.isclose(ideal_density(GaussianModulus((2, 1))), (math.pi / 4) * 4 / 5)
+    assert math.isclose(ideal_density(GaussianModulus((5, 0))), (math.pi / 4) * 16 / 25)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +247,8 @@ def model7():
 
 
 def test_adapter_requires_stable_modulus():
-    with pytest.raises(UnsupportedModulusError):
+    # the modulus itself refuses a conjugation-unstable generator
+    with pytest.raises(UnsupportedModulusError, match="conjugation-stable"):
         HeckeGaussianModel(GaussianModulus((2, 1)))
 
 
@@ -347,10 +304,10 @@ def test_cells_match_character_products(gen):
     labels = [model.label(psi) for psi in chars]
     shifts = [(psi, conjugate_char(psi)) for psi in chars]
     for (lab1, shift1), (lab2, shift2) in itertools.product(zip(labels, shifts), repeat=2):
-        for j, k in itertools.product(range(2), repeat=2):
-            product = shift2[j].mul(shift1[k])
-            for chi, lab_chi in zip(chars, labels):
-                assert model.cell(lab1, lab2, lab_chi, j, k) == product.mul(chi).exps
+        for chi, lab_chi in zip(chars, labels):
+            grid = model.cell_grid(lab1, lab2, lab_chi)
+            for j, k in itertools.product(range(2), repeat=2):
+                assert grid[j][k] == shift2[j].mul(shift1[k]).mul(chi).exps
 
 
 def test_adapter_demo_matrix(model7):

@@ -93,24 +93,14 @@ def test_invariants_of_swap(z3sq_p2):
 
 def test_matching_cell_convention_z7(z7_p3):
     t1, t2, chi = z7_p3.label([1]), z7_p3.label([3]), z7_p3.label([0])
-    on = {
-        (j, k)
-        for j in range(3)
-        for k in range(3)
-        if z7_p3.matching_cell(t1, t2, chi, j, k)
-    }
+    on = z7_p3.on_cells(t1, t2, chi)
     # 2^j * 3 + 2^k * 1 = 0 mod 7 exactly at these cells
     assert on == {(0, 2), (1, 0), (2, 1)}
 
 
 def test_matching_cell_convention_z3sq(z3sq_p2):
     t1, t2, chi = z3sq_p2.label([1, 0]), z3sq_p2.label([1, 2]), z3sq_p2.label([1, 1])
-    on = {
-        (j, k)
-        for j in range(2)
-        for k in range(2)
-        if z3sq_p2.matching_cell(t1, t2, chi, j, k)
-    }
+    on = z3sq_p2.on_cells(t1, t2, chi)
     assert on == {(0, 0), (1, 1)}
 
 

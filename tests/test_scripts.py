@@ -40,3 +40,22 @@ def test_gaussian_family_counts_indeterminate_triples():
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "432 triples" in proc.stdout
     assert "360 agree, 0 disagree, 72 indeterminate" in proc.stdout
+
+
+def test_gaussian_family_without_triples_fails():
+    # neither modulus has a non-invariant ideal character: not a vacuous pass
+    proc = run_script("run_gaussian_demo.py", ["--moduli", "3", "5", "--X", "20000"])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "modulus (3, 0) has no non-invariant ideal character" in proc.stdout
+    assert "modulus (5, 0) has no non-invariant ideal character" in proc.stdout
+    assert "agree on every triple" not in proc.stdout
+
+
+@pytest.mark.parametrize("m", [8, 1])
+def test_gaussian_family_refuses_unsupported_modulus(m):
+    proc = run_script("run_gaussian_demo.py", ["--moduli", "7", str(m), "--X", "20000"])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"modulus ({m}, 0) is not supported: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""  # refused before any family is checked
