@@ -3,8 +3,10 @@
 Every subcommand reads a JSON config file, runs one library entry point, and
 emits a versioned report (JSON by default, `--format text` for a terminal
 rendering) to stdout or `--output`.  Each handler imports the lane it runs
-(sweep, oracle, numerics) when it runs, so a `pole-order` or `factorize`
-request loads neither numpy nor any of those lanes.
+(sweep, oracle, numerics) when it runs, after checking the model kind and
+sections its config needs, so a `pole-order` or `factorize` request, and
+a rejected `oracle-compare` or `hecke-estimate`, loads no numpy and none
+of those lanes.
 
 Exit codes:
     0  success (including marked reports: violated comparison precondition,
@@ -185,11 +187,11 @@ def cmd_witness(config: dict, args) -> tuple[dict, int]:
 
 
 def cmd_oracle_compare(config: dict, args) -> tuple[dict, int]:
-    from .group_oracle import oracle_compare
-
     model, labels = _triple(config, "oracle-compare")
     if not isinstance(model, AbelianModel):
         raise ConfigError("oracle-compare needs an abelian model")
+    from .group_oracle import oracle_compare
+
     comparison = oracle_compare(
         model, labels["theta1"][0], labels["theta2"][0], labels["chi"]
     )
@@ -200,12 +202,12 @@ def cmd_oracle_compare(config: dict, args) -> tuple[dict, int]:
 
 
 def cmd_hecke_estimate(config: dict, args) -> tuple[dict, int]:
-    from .gauss_sums import DEFAULT_TAU, numeric_triple_estimate
-
     model, labels = _triple(config, "hecke-estimate")
     if model.kind != "gaussian":
         raise ConfigError("hecke-estimate needs a gaussian model")
     spec = require_section(config, "estimate", "hecke-estimate")
+    from .gauss_sums import DEFAULT_TAU, numeric_triple_estimate
+
     estimate = numeric_triple_estimate(
         labels["theta1"][0],
         labels["theta2"][0],

@@ -42,10 +42,9 @@ _counts_cache: dict = {}
 _COUNTS_CACHE_LIMIT = 8
 # Ceiling on the peak of one band count (docs/formats.md, "Exit codes").
 BAND_COUNTS_MAX_BYTES = 1 << 30
-# Temporaries of one band boundary that `band_counts_bytes` prices, in
-# int64 vectors of length rows and in arrays of m x m entries.
-_ROW_TEMPORARIES = 6
-_SPAN_TEMPORARIES = 3
+# Temporaries of one band boundary: int64 vectors of length rows, m x m arrays.
+_ROW_TEMPORARIES = 7
+_SPAN_TEMPORARIES = 4
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -67,19 +66,19 @@ def _count_layout(modulus: GaussianModulus, X: int) -> tuple[int, int]:
 
 def _band_arrays_bytes(modulus: GaussianModulus, X: int) -> int:
     """Bytes of the two zero-filled int64 arrays that counting (modulus, X)
-    keeps: `below` (rows x m) and `cumulative` ((BANDS + 1) x units)."""
-    m, rows = _count_layout(modulus, X)
-    return 8 * (rows * m + (BANDS + 1) * len(modulus.units))
+    keeps: `quotients` (rows) and `cumulative` ((BANDS + 1) x units)."""
+    rows = _count_layout(modulus, X)[1]
+    return 8 * (rows + (BANDS + 1) * len(modulus.units))
 
 
 def band_counts_bytes(modulus: GaussianModulus, X: int) -> int:
     """Bytes that counting (modulus, X) holds at its peak, at most: the two
     arrays of `_band_arrays_bytes` and the temporaries of one band boundary.
     Those are at most _ROW_TEMPORARIES int64 vectors of length rows (the
-    previous b_max, the radicand, and `_isqrt`'s root, successor, square and
-    bool mask, the mask rounded up to a vector) and _SPAN_TEMPORARIES arrays
-    of at most m x m entries (the unit classes and the boundary's folded
-    counts, with room for one more; units <= m x m)."""
+    class offsets, the previous b_max, the radicand, and `_isqrt`'s root,
+    successor, square and bool mask, rounded up) and _SPAN_TEMPORARIES
+    arrays of at most m x m entries (the unit classes and two boundaries'
+    folded counts, with room for one more; units <= m x m)."""
     m, rows = _count_layout(modulus, X)
     temporaries = _ROW_TEMPORARIES * rows + _SPAN_TEMPORARIES * m * m
     return _band_arrays_bytes(modulus, X) + 8 * temporaries
@@ -88,15 +87,16 @@ def band_counts_bytes(modulus: GaussianModulus, X: int) -> int:
 def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
     """Counts[band, unit] over all ideals of norm <= X.
 
-    The count is closed-form rather than a walk over the lattice.  The
-    residue of a generator a + bi is (a mod m, b mod m), and for each real
-    part a the imaginary parts b <= isqrt(T - a^2) with b = r (mod m) number
-    (isqrt(T - a^2) - r + m) // m.  At every band boundary T = ceil(kX /
-    BANDS) those counts are written in place, folded by the class of a mod
-    m and gathered per unit (x, y) at flat index x * m + y; differencing the
-    per-unit totals over k gives exact integer counts per (band, unit) in
-    O(sqrt(X) * BANDS * m).  Raises PreconditionError, before any array is
-    built, when `band_counts_bytes` exceeds BAND_COUNTS_MAX_BYTES.
+    Closed-form rather than a walk over the lattice.  The residue of a
+    generator a + bi is (a mod m, b mod m).  For a real part a, the b <=
+    b_max = isqrt(T - a^2) with b = r (mod m) number (b_max - r + m) // m =
+    q + [r <= s], where (q, s) = divmod(b_max, m).  At a band boundary T =
+    ceil(kX / BANDS), the count over a = x (mod m) is thus the sum of q plus
+    #{s >= r}, a reversed cumulative sum of one histogram of (x, s); taken
+    per unit (x, y) at flat index x * m + y and differenced over k, these
+    are exact counts per (band, unit) in O(sqrt(X) * BANDS + BANDS * m^2).
+    Raises PreconditionError, before any array is built, when
+    `band_counts_bytes` exceeds BAND_COUNTS_MAX_BYTES.
     """
     need = band_counts_bytes(modulus, X)
     if need > BAND_COUNTS_MAX_BYTES:
@@ -105,21 +105,21 @@ def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:
             f"about {need} bytes, over the ceiling of {BAND_COUNTS_MAX_BYTES} bytes"
         )
     m, rows = _count_layout(modulus, X)
-    classes = np.array([x * m + y for x, y in modulus.units], dtype=np.int64)
-    # b-counts per (a, r) up to the current boundary; a boundary only grows,
-    # so rows past its isqrt stay zero, and row a = 0 is never written
-    below = np.zeros((rows, m), dtype=np.int64)
+    classes = np.fromiter((x * m + y for x, y in modulus.units), dtype=np.int64)
+    # per real part a, the offset x * m of its class and its q; a boundary
+    # only grows, so rows past its isqrt keep q = 0, as row a = 0 does
+    offsets = np.tile(np.arange(0, m * m, m, dtype=np.int64), rows // m)
+    quotients = np.zeros(rows, dtype=np.int64)
     cumulative = np.zeros((BANDS + 1, len(classes)), dtype=np.int64)
     for k in range(1, BANDS + 1):
         bound = -(-k * X // BANDS)
         top = isqrt(bound) + 1
         b_max = _isqrt(bound - np.arange(1, top, dtype=np.int64) ** 2)
-        # in place, one residue at a time: numpy buffers a broadcast ufunc
-        rows_k = below[1:top]
-        for r in range(m):
-            np.subtract(b_max, r - m, out=rows_k[:, r])
-        np.floor_divide(rows_k, m, out=rows_k)
-        folded = below.reshape(-1, m, m).sum(axis=0)
+        np.divmod(b_max, m, out=(quotients[1:top], b_max))
+        # #{a = x : s >= r}, the (x, s) histogram summed down, plus q's sum
+        folded = np.bincount(b_max + offsets[1:top], minlength=m * m).reshape(m, m)
+        np.cumsum(folded[:, ::-1], axis=1, out=folded[:, ::-1])
+        folded += quotients.reshape(-1, m).sum(axis=0)[:, None]
         np.take(folded, classes, out=cumulative[k])
     # difference in place, highest boundary first
     for k in range(BANDS, 0, -1):

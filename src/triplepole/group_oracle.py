@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import InvariantViolationError, ModelMismatchError, PreconditionError
 from .models import AbelianModel, CuspidalLabelK, sigma_powers, sigma_table
-from .sweep import TripleKernel
 
 PAIRING_NOTE = (
     "model elements index base-group characters via the coordinate-wise "
@@ -451,6 +450,8 @@ def oracle_agreement_sweep(model: AbelianModel) -> dict:
     exponent table is over ORACLE_MAX_EXPONENT_ENTRIES raises
     PreconditionError before the table is built.
     """
+    from .sweep import TripleKernel
+
     G = oracle_group(model)
     E = _exponent_table(G)  # characters indexed as model elements
     R = _remainder_matrix(G.nexp)

@@ -91,15 +91,25 @@ def test_character_sum_requires_positive_bound():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counts the character sums evaluated, not looked up: each evaluation
-    takes one `np.bincount` over the band counts."""
-    real_bincount, calls = np.bincount, []
+    """Records the character sums evaluated, not looked up: an evaluation
+    keeps its sum in the entry of its counts, a lookup only reads it."""
+    calls = []
 
-    def bincount(*args, **kwargs):
-        calls.append(1)
-        return real_bincount(*args, **kwargs)
+    class Sums(dict):
+        def __setitem__(self, exps, total):
+            calls.append(exps)
+            super().__setitem__(exps, total)
 
-    monkeypatch.setattr(gs.np, "bincount", bincount)
+    real_entry = gs._counts_entry
+
+    def counts_entry(modulus, X):
+        counts, sums = real_entry(modulus, X)
+        if not isinstance(sums, Sums):
+            sums = Sums(sums)
+            gs._counts_cache[(modulus.generator, X)] = (counts, sums)
+        return counts, sums
+
+    monkeypatch.setattr(gs, "_counts_entry", counts_entry)
     return calls
 
 
@@ -169,10 +179,12 @@ def test_isqrt_is_exact_near_squares():
     assert got.tolist() == [isqrt(v) for v in values]
 
 
-@pytest.mark.parametrize("X", [1, 2, 31, 32, 33, 64, 4097])
-@pytest.mark.parametrize("gen", [(1, 0), (5, 0), (7, 0), (3, 0), (9, 0), (15, 0)])
+@pytest.mark.parametrize("X", [1, 2, 31, 32, 33, 64, 4097, 3480, 3599, 3600, 3844, 3969])
+@pytest.mark.parametrize("gen", [(1, 0), (5, 0), (7, 0), (3, 0), (9, 0), (15, 0), (59, 0)])
 def test_band_counts_match_brute_force(gen, X):
-    # X on and beside band edges
+    # X on and beside band edges; isqrt(X) = 58, 59, 60, 62, 63 for the last
+    # five, which for every m here include one = 0 and one = m - 1 (mod m);
+    # (59, 0) also at X < m^2, where no class of real parts is whole
     modulus = GaussianModulus(gen)
     counts = gs._band_counts(modulus, X)
     assert counts.dtype == np.int64
@@ -203,6 +215,12 @@ def test_character_sums_match_pin(pin):
 def test_ideal_count_matches_pin():
     assert PINS["ideal_count"] == {"X": 10**7, "count": 7854006}
     assert ideal_count(10**7) == 7854006
+
+
+def test_ideal_count_is_exact_at_a_large_bound():
+    # one generator a + bi with a >= 1, b >= 0 per ideal, counted in Python
+    X = 10**12
+    assert ideal_count(X) == sum(isqrt(X - a * a) + 1 for a in range(1, isqrt(X) + 1))
 
 
 @pytest.mark.parametrize("modulus", [(7, 0), (9, 0), (15, 0), (21, 0)], ids=str)
@@ -253,9 +271,9 @@ def test_band_counts_peak_is_within_the_estimate(gen):
 def test_band_counts_bytes_bounds_the_numeric_lane():
     # never allocated: the estimate alone decides
     m59 = GaussianModulus((59, 0))
-    assert band_counts_bytes(m59, 10**12) == 521028264
+    assert band_counts_bytes(m59, 10**12) == 65033312
     assert band_counts_bytes(m59, 10**12) < BAND_COUNTS_MAX_BYTES
-    assert band_counts_bytes(m59, 10**16) == 52001025144
+    assert band_counts_bytes(m59, 10**16) == 6401032928
     assert band_counts_bytes(m59, 10**16) > BAND_COUNTS_MAX_BYTES
     assert BAND_COUNTS_MAX_BYTES == 2**30
     # the benchmark's moduli and bounds stay far below the ceiling

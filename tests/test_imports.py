@@ -67,6 +67,45 @@ def test_rejected_config_loads_no_lane(tmp_path):
     assert modules >= JSONSCHEMA  # the name the valid requests are checked for
 
 
+def test_rejected_oracle_compare_loads_no_lane():
+    # a generic model is refused before the oracle is imported
+    code, modules = imported_modules(
+        "oracle-compare", "--config", str(CONFIGS / "generic_mismatch.json")
+    )
+    assert code == 2
+    assert "triplepole.cli" in modules
+    assert modules & LANES == set()
+
+
+def test_rejected_hecke_estimate_loads_no_lane(tmp_path):
+    # a modulus without a Galois action is refused before the sums are imported
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "model": {"kind": "gaussian", "modulus": [2, 1]},
+                "labels": {"theta1": 1, "theta2": 1, "chi": 10},
+                "estimate": {"X": 50000},
+            }
+        )
+    )
+    code, modules = imported_modules("hecke-estimate", "--config", str(path))
+    assert code == 3
+    assert "triplepole.gauss" in modules
+    assert modules & LANES == set()
+
+
+def test_oracle_compare_loads_no_sweep():
+    # the kernel is imported only by the agreement sweep
+    code, modules = imported_modules(
+        "oracle-compare", "--config", str(CONFIGS / "abelian_z7.json")
+    )
+    assert code == 0
+    assert "triplepole.group_oracle" in modules
+    assert "triplepole.sweep" not in modules
+
+
 def test_sampled_sweep_loads_no_masked_arrays(tmp_path):
     # numpy.ma costs 10-20 ms to import, in every fresh sampled request
     path = tmp_path / "config.json"
