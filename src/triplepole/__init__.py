@@ -5,8 +5,6 @@ The public names below are imported from their submodules on first use
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -88,7 +86,6 @@ _EXPORTS = {
         "catalogue_rank2",
         "find_witness",
         "shipped_catalogue",
-        "sweep",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -106,18 +103,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *_HOME})
-
-
-class _Package(types.ModuleType):
-    """The package module.  The import system binds each submodule on its
-    package when it is first imported, which would hide the function
-    `sweep` behind the module `triplepole.sweep`; an exported name is never
-    rebound to a module."""
-
-    def __setattr__(self, name, value):
-        if name in _HOME and isinstance(value, types.ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -45,6 +45,7 @@ BAND_COUNTS_MAX_BYTES = 1 << 30
 # Temporaries of one band boundary: int64 vectors of length rows, m x m arrays.
 _ROW_TEMPORARIES = 7
 _SPAN_TEMPORARIES = 4
+_FIXED_BYTES = 1 << 14  # numpy's small per-call objects, which a small count shows
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -78,10 +79,11 @@ def band_counts_bytes(modulus: GaussianModulus, X: int) -> int:
     class offsets, the previous b_max, the radicand, and `_isqrt`'s root,
     successor, square and bool mask, rounded up) and _SPAN_TEMPORARIES
     arrays of at most m x m entries (the unit classes and two boundaries'
-    folded counts, with room for one more; units <= m x m)."""
+    folded counts, with room for one more; units <= m x m), plus
+    _FIXED_BYTES (16 KiB) for numpy's small per-call objects."""
     m, rows = _count_layout(modulus, X)
     temporaries = _ROW_TEMPORARIES * rows + _SPAN_TEMPORARIES * m * m
-    return _band_arrays_bytes(modulus, X) + 8 * temporaries
+    return _band_arrays_bytes(modulus, X) + 8 * temporaries + _FIXED_BYTES
 
 
 def _band_counts(modulus: GaussianModulus, X: int) -> np.ndarray:

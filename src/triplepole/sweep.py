@@ -107,22 +107,15 @@ class TripleKernel:
     def blocks(
         self, positions: np.ndarray | None = None, npairs: int | None = None, step: int | None = None
     ):
-        """(a, b, chi) for the pairs (a, b) with a and b in the sorted array
-        `positions` (default every position) and pair number below `npairs`
-        (default m * m), in index order, `step` pairs a block (default: a
-        grid of at most _BLOCK_CELLS cells): a and b are position arrays and
-        chi = self.chi(a, b).  Only one block of pairs is ever held."""
+        """(a, b, chi) for the pairs of the sorted array `positions` (default
+        every position) with itself, or for the pairs numbered below `npairs`
+        (at most m * m), in index order, `step` pairs a block (default: a grid
+        of at most _BLOCK_CELLS cells); chi = self.chi(a, b).  Only one block
+        of pairs is ever held."""
         if positions is None:
             positions = np.arange(self.m)
         k = len(positions)
-        count = k * k
-        if npairs is not None and npairs < self.m * self.m:
-            # whole rows of positions before row npairs // m, then the part
-            # of that row (if it is a position) below column npairs % m
-            row, col = divmod(npairs, self.m)
-            full = int(np.searchsorted(positions, row))
-            in_row = full < k and positions[full] == row
-            count = full * k + (int(np.searchsorted(positions, col)) if in_row else 0)
+        count = k * k if npairs is None else min(npairs, self.m * self.m)
         if step is None:
             step = max(1, _BLOCK_CELLS // self.p**2)
         for lo in range(0, count, step):
@@ -213,12 +206,11 @@ class _Runs:
         self.length = np.diff(starts, append=len(keys))
         self.gaps = n - np.bincount(self.row, minlength=pairs)
 
-    def counts(self, weights: np.ndarray, good: np.ndarray) -> np.ndarray:
-        """counts[ell]: the triples of pole order ell, when pair q stands for
-        weights[q] pairs and only the runs of the mask `good` count."""
-        # exact: the weighted sums are integers far below 2**53
-        counts = np.bincount(self.length[good], weights[self.row[good]], minlength=1).astype(np.int64)
-        counts[0] = weights @ self.gaps
+    def counts(self, weight: int, good: np.ndarray) -> np.ndarray:
+        """counts[ell]: the triples of pole order ell, when each pair stands
+        for `weight` pairs and only the runs of the mask `good` count."""
+        counts = np.bincount(self.length[good], minlength=1) * weight
+        counts[0] = weight * self.gaps.sum()
         return counts
 
     def marked(self, q: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -279,14 +271,15 @@ def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
     An exhaustive `limit` stops at the last whole pair that fits.
 
     The exhaustive sweep evaluates one representative pair per shift x shift
-    orbit (see `TripleKernel`), weighted by the orbit's pairs inside the
-    walked prefix; `triples_examined` still counts every triple whose pole
-    order it determined.  A pair's pole orders are read off its p x p grid:
-    a chi on e of its cells has ell = e, every other chi of the model ell =
-    0.  The first pair of a pole order is a representative, so the
-    witnesses are those of the full walk, and a violation or breach found
-    on a representative is reported for every member of its orbit inside
-    the prefix, at the same chi, in (theta1, theta2, chi) index order.
+    orbit of a whole model (see `TripleKernel`), weighted by the p * p pairs
+    of its orbit, and every pair of a model that `limit` cuts;
+    `triples_examined` still counts every triple whose pole order it
+    determined.  A pair's pole orders are read off its p x p grid: a chi on
+    e of its cells has ell = e, every other chi of the model ell = 0.  The
+    first pair of a pole order is a representative, so the witnesses are
+    those of the full walk, and a violation or breach found on a
+    representative is reported for every member of its orbit, at the same
+    chi, in (theta1, theta2, chi) index order.
     """
     if budget.strategy == "sample":
         return _sweep_sampled(family, budget)
@@ -309,39 +302,36 @@ def sweep(family: SweepFamily, budget: SweepBudget) -> SweepReport:
 
 def _sweep_model(report: SweepReport, kernel: TripleKernel, mi: int, npairs: int) -> None:
     """Add the pairs of model `mi` numbered below `npairs` to `report`, a
-    block of representative pairs at a time."""
+    block at a time: one pair per orbit, for its p * p pairs, in a whole
+    model, and every pair in a model that `limit` cuts."""
     found = ([], [])  # (pair, c, ell) of the violations and breaches
     whole = npairs == kernel.m * kernel.m
-    for a, b, chi in kernel.blocks(kernel.reps, npairs):
+    weight = kernel.p**2 if whole else 1
+    walk = kernel.blocks(kernel.reps) if whole else kernel.blocks(npairs=npairs)
+    for a, b, chi in walk:
         runs = _Runs(kernel, chi)
         good = ~runs.marked(*grid_conflicts(chi))
-        pairs = a * kernel.m + b
-        if whole:
-            weights = np.full(len(pairs), kernel.p**2)
-        else:  # the orbit members inside the prefix, which each pair stands for
-            weights = (kernel.orbit_members(pairs) < npairs).sum(axis=1)
 
         def first(ell):
             q, c = runs.first(ell, good)
             return kernel.triple(mi, a[q], b[q], c, ell)
 
-        _count(report, runs.counts(weights, good), first)
+        _count(report, runs.counts(weight, good), first)
         flagged = [~good]
         if kernel.p == 2:
             flagged.append(good & (runs.length >= 2) & ~kernel.invariant[runs.value])
         for out, flags in zip(found, flagged):
             r = np.flatnonzero(flags)
             if len(r):
-                members = kernel.orbit_members(pairs[runs.row[r]])
-                rows, cols = np.nonzero(members < npairs)
-                out.append((members[rows, cols], runs.value[r][rows], runs.length[r][rows]))
+                q = (a * kernel.m + b)[runs.row[r]]
+                members = kernel.orbit_members(q).ravel() if whole else q
+                out.append((members, runs.value[r].repeat(weight), runs.length[r].repeat(weight)))
     report.violations.extend(_render(kernel, mi, found[0]))
     report.rigidity_breaches.extend(_render(kernel, mi, found[1]))
 
 
 def _render(kernel: TripleKernel, mi: int, found: list) -> list[dict]:
-    """The triples (pair, c, ell) of `found`, rendered in (pair, c) index
-    order."""
+    """The triples (pair, c, ell) of `found`, in (pair, c) index order."""
     if not found:
         return []
     q, c, ell = (np.concatenate(x) for x in zip(*found))

@@ -32,11 +32,11 @@ from triplepole import (
     probe_pole,
     projection_formula_sweep,
     shipped_catalogue,
-    sweep,
     triple_pole_order,
     trivial_multiplicity,
     unit_trivial_characters,
 )
+from triplepole.sweep import sweep
 
 
 def report(n: int, detail: str) -> None:

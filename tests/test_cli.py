@@ -1,4 +1,3 @@
-import importlib
 import json
 import shutil
 import subprocess
@@ -324,11 +323,8 @@ def test_sweep_negative_seed_flag_exits_3(tmp_path, capsys, strategy):
 def test_sweep_violations_exit_code(monkeypatch, tmp_path, capsys):
     # The calculus never produces a violation, so force one through the
     # report to pin the exit-code contract.  The handler imports `sweep`
-    # when it runs; the package exports the function under the module's
-    # name, so the module is fetched with import_module.
-    sweep_module = importlib.import_module("triplepole.sweep")
-
-    real_sweep = sweep_module.sweep
+    # from its module when it runs, so the module's name is patched.
+    from triplepole.sweep import sweep as real_sweep
 
     def tainted(family, budget):
         report = real_sweep(family, budget)
@@ -337,7 +333,7 @@ def test_sweep_violations_exit_code(monkeypatch, tmp_path, capsys):
         )
         return report
 
-    monkeypatch.setattr(sweep_module, "sweep", tainted)
+    monkeypatch.setattr("triplepole.sweep.sweep", tainted)
     config = write_config(
         tmp_path,
         {"version": 1, "catalogue": {"p_values": [2], "max_group_order": 5}},

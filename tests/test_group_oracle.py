@@ -8,7 +8,6 @@ products are those of the reference oracle in `class_function_oracle`,
 against which the package's kernel is compared.
 """
 
-import importlib
 import itertools
 import tracemalloc
 
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triplepole.group_oracle as group_oracle
+import triplepole.sweep as sweep_module
 from triplepole.calculus import matching_matrix
 from triplepole.errors import (
     InvariantViolationError,
@@ -536,9 +536,7 @@ def test_multiplicity_is_constant_on_sigma_orbits(name):
 )
 def test_agreement_sweep_compares_every_triple(model, oracle_sums, monkeypatch):
     # bump the kernel's ell on one triple none of whose labels is its orbit's
-    # representative: the sweep must still report exactly that triple.  The
-    # package exports the function `sweep` under the module's name.
-    sweep_module = importlib.import_module("triplepole.sweep")
+    # representative: the sweep must still report exactly that triple.
     kernel = sweep_module.TripleKernel(model)
     reps = group_oracle._orbit_reps(oracle_group(model))
     noninv = kernel.noninv.tolist()

@@ -159,7 +159,7 @@ EXPORTS = {
     ],
     "sweep": [
         "SweepBudget", "SweepFamily", "SweepReport", "catalogue_cyclic", "catalogue_rank2",
-        "find_witness", "shipped_catalogue", "sweep",
+        "find_witness", "shipped_catalogue",
     ],
 }
 
@@ -178,7 +178,7 @@ for module, names in exports.items():
         exec(f"from triplepole import {name}", scope)
         if scope[name] is not getattr(home, name):
             wrong.append(name)
-if triplepole.sweep is not importlib.import_module("triplepole.sweep").sweep:
+if triplepole.sweep is not sys.modules["triplepole.sweep"]:
     wrong.append("triplepole.sweep")
 print(json.dumps(wrong))
 """
@@ -193,6 +193,23 @@ def test_exports_resolve_to_their_definitions(first):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+# Prints whether `import triplepole.sweep as m`, after the statement in
+# argv[1], binds the module, with its function `sweep`.
+IMPORT_AS = """\
+import sys, types
+exec(sys.argv[1])
+import triplepole.sweep as m
+print(isinstance(m, types.ModuleType) and m is sys.modules["triplepole.sweep"] and callable(m.sweep))
+"""
+
+
+@pytest.mark.parametrize("first", ["import triplepole", "from triplepole import shipped_catalogue"])
+def test_import_as_binds_the_sweep_module(first):
+    proc = subprocess.run([sys.executable, "-c", IMPORT_AS, first], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_package_lists_exactly_the_exports():

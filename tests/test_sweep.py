@@ -1,7 +1,6 @@
 """Exhaustive and sampled sweeps over model families, plus the shipped
 model catalogue."""
 
-import importlib
 import itertools
 import json
 import tracemalloc
@@ -80,13 +79,17 @@ def test_blocks_walk_every_pair_once_in_index_order(npairs):
     m = kernel.m
     assert (m, len(kernel.reps)) == (108, 36)
     total = m * m if npairs is None else npairs
-    # every position, the representatives and other position sets: the
-    # pairs of positions x positions below npairs, 910 to a block
+    # every position, the representatives and other position sets, each
+    # walked whole, then the pairs below npairs over every position, and
+    # below m * m + 5, which stops at m * m: 910 pairs to a block
     sets = (None, kernel.reps, np.array([0, 7, 8, 59]), np.arange(1, 108, 3), np.array([], int))
-    for positions in sets:
+    walks = [(positions, None) for positions in sets] + [(None, npairs), (None, m * m + 5)]
+    for positions, below in walks:
         listed = np.arange(m) if positions is None else positions
-        want = [a * m + b for a in listed.tolist() for b in listed.tolist() if a * m + b < total]
-        blocks = list(kernel.blocks(positions, npairs))
+        want = [a * m + b for a in listed.tolist() for b in listed.tolist()]
+        if below is not None:
+            want = want[:below]
+        blocks = list(kernel.blocks(positions, below))
         assert [len(a) for a, _, _ in blocks] == [910] * (len(want) // 910) + (
             [len(want) % 910] if len(want) % 910 else []
         )
@@ -102,6 +105,30 @@ def test_blocks_walk_every_pair_once_in_index_order(npairs):
     for a, b, chi, ells in blocks:
         assert np.array_equal(chi, kernel.chi(a, b))
         assert np.array_equal(ells, pole_orders(chi, kernel.n))
+
+
+@pytest.mark.parametrize("npairs", [None, 0, 1, 500, 11663])
+def test_a_cut_model_is_evaluated_at_exactly_its_pairs(monkeypatch, npairs):
+    """A whole model evaluates its representative pairs, each once; a model
+    that `limit` cuts evaluates the pairs below the cut, each once."""
+    kernel = TripleKernel(Z109)
+    m, n = kernel.m, kernel.n
+    real_chi = TripleKernel.chi
+    seen = []
+
+    def spy(self, a, b):
+        seen.extend((a * self.m + b).tolist())
+        return real_chi(self, a, b)
+
+    monkeypatch.setattr(TripleKernel, "chi", spy)
+    limit = None if npairs is None else npairs * n + n - 1
+    rep = sweep(SweepFamily((Z109,)), SweepBudget(limit=limit))
+    if npairs is None:
+        assert seen == (kernel.reps[:, None] * m + kernel.reps).ravel().tolist()
+        assert rep.triples_examined == m * m * n
+    else:
+        assert seen == list(range(npairs))
+        assert rep.triples_examined == npairs * n
 
 
 def reference_cells(model, i1, i2, ic):
@@ -179,7 +206,7 @@ def test_grid_reduction_equals_the_dense_rows(model, data):
     cell = st.tuples(st.integers(0, pairs - 1), *[st.integers(0, p - 1)] * 4)
     for q, j, k, j2, k2 in data.draw(st.lists(cell, max_size=4)):
         chi[q, j, k] = chi[q, j2, k2]
-    weights = np.array(data.draw(st.lists(st.integers(1, p * p), min_size=pairs, max_size=pairs)))
+    weight = data.draw(st.integers(1, p * p))
 
     runs = _Runs(kernel, chi)
     good = ~runs.marked(*grid_conflicts(chi))
@@ -195,11 +222,11 @@ def test_grid_reduction_equals_the_dense_rows(model, data):
         for c in range(n):
             if c not in bad:
                 ell = int(rows[q, c])
-                want[ell] = want.get(ell, 0) + int(weights[q])
+                want[ell] = want.get(ell, 0) + weight
                 firsts.setdefault((ell, False), (q, c))
                 if not kernel.invariant[c]:
                     firsts.setdefault((ell, True), (q, c))
-    counts = runs.counts(weights, good)
+    counts = runs.counts(weight, good)
     assert {ell: int(x) for ell, x in enumerate(counts) if x} == want
     for ell in range(p * p + 2):
         for moved_only in (False, True):
@@ -524,12 +551,11 @@ def full_walk_flags(family, limit, flag):
 def test_flags_on_a_representative_cover_its_orbit(monkeypatch, limit):
     """An orbit-invariant fault, found on one pair per orbit, is reported for
     every pair of the orbit inside the prefix, in index order."""
-    sweep_module = importlib.import_module("triplepole.sweep")
     family = shipped_catalogue((2, 3), 16)
 
     # every double pole taken for a shared row or column
     monkeypatch.setattr(
-        sweep_module, "grid_conflicts", lambda chi: np.nonzero(pole_orders(chi, chi.max() + 1) == 2)
+        "triplepole.sweep.grid_conflicts", lambda chi: np.nonzero(pole_orders(chi, chi.max() + 1) == 2)
     )
     rep = sweep(family, SweepBudget(limit=limit))
     want = full_walk_flags(family, limit, lambda k, ells: ells == 2)
